@@ -1,5 +1,4 @@
-"""Oracle hot path: precomputed-image CheckerEngine vs the naive oracle,
-and compiled vs interpreted evaluation inside the engine.
+"""Oracle hot path: precomputed-image CheckerEngine vs the naive oracle.
 
 The Def. 5 check quantifies over the ``2**n`` subsets of the universe;
 the pre-engine oracle re-ran ``sem(C, S)`` with a fresh cache for every
@@ -9,26 +8,14 @@ unions precomputed images instead; since the compile-once refactor the
 assertions are also compiled into incremental evaluators pushed along
 the enumeration — ``O(n · exec + 2**n · Δ)``.
 
-This benchmark (a plain script, so CI can smoke-run it) does three
+This benchmark (a plain script, so CI can smoke-run it) does two
 things:
 
 1. **cross-validation** — engine and naive verdicts *and witnesses* must
    be identical over a suite of valid and invalid triples (plain,
    terminating and sampled checks);
 2. **speedup** — on a 3-variable universe the engine must beat the
-   retained naive reference by >= 10x on the full-powerset walk;
-3. **compiled speedup** — on an assertion-heavy workload (agreement +
-   value-quantified preconditions that hold on every candidate set, so
-   the interpreter re-walks ``k**2`` binding pairs per candidate with
-   no short-circuit exit) the compiled engine must beat the interpreted
-   engine (``compiled=False``, the pre-compile behavior) by >= 5x, with
-   identical verdicts, witnesses and ``checked_sets``;
-4. **bitset speedup** — on a union-dominated walk (full powerset of a
-   16-state universe, each image the whole universe, constant pre/post
-   so nothing but the ``Δ`` remains) the bitset engine must beat the
-   ``bitset=False`` escape hatch by >= 5x: the frozenset recursion pays
-   an ``O(n)`` union and a ``frozenset(chosen)`` allocation per
-   candidate where the mask recursion pays two machine-word ``|``\\ s.
+   retained naive reference by >= 10x on the full-powerset walk.
 
 Usage::
 
@@ -50,10 +37,7 @@ from repro.assertions import (  # noqa: E402
     TRUE_H,
     exists_s,
     forall_s,
-    forall_v,
-    hv,
     low,
-    low_pred,
     not_emp_s,
     pv,
 )
@@ -69,18 +53,9 @@ from repro.checker import (  # noqa: E402
     sampled_check_triple,
 )
 from repro.lang import parse_command  # noqa: E402
-from repro.lang.expr import V  # noqa: E402
 from repro.values import IntRange  # noqa: E402
 
 MIN_SPEEDUP = 10.0
-
-#: The compile-once refactor's headline: compiled vs interpreted engine
-#: on assertion-heavy triples.
-MIN_COMPILED_SPEEDUP = 5.0
-
-#: The bitset refactor's headline: id-bitmask enumeration vs the
-#: frozenset escape hatch on a union-dominated powerset walk.
-MIN_BITSET_SPEEDUP = 5.0
 
 #: 3 program variables over {0, 1}: 8 extended states, 256 initial sets.
 PVARS = ["x", "y", "z"]
@@ -193,122 +168,6 @@ def bench_speedup(universe, repeats, attempts=3):
     print("speedup >= %.0fx: OK" % MIN_SPEEDUP)
 
 
-def assertion_heavy_triple():
-    """An always-true, assertion-heavy triple over a 12-state universe.
-
-    The precondition/postcondition hold on *every* candidate set, so the
-    interpreted engine re-walks every binding pair of the ``∀∀``
-    agreement conjuncts (``k**2`` per candidate, no short-circuit exit)
-    and re-evaluates the value-quantified conjunct per state per
-    candidate — the regime the incremental evaluators collapse to
-    ``O(Δ)`` per enumeration step with per-state projections cached.
-    """
-    universe = Universe(
-        ["x", "y"], IntRange(0, 1), lvars=["t"], lvar_domain=IntRange(0, 2)
-    )
-    agree = (
-        low_pred((V("x") * 3 + V("y") * 2).ge(0))
-        & low_pred((V("x") + V("y")).ge(0))
-        & low_pred(V("x").ge(0))
-    )
-    value_quantified = forall_v(
-        "v", forall_s("p", (pv("p", "x") * 2 + pv("p", "y") + hv("v")).ge(0))
-    )
-    pre = agree & value_quantified
-    return universe, pre, parse_command("x := x"), pre
-
-
-def bench_compiled(repeats, attempts=3):
-    """Compiled vs interpreted engine on the assertion-heavy triple."""
-    universe, pre, command, post = assertion_heavy_triple()
-    interpreted = CheckerEngine(universe, ImageCache(), compiled=False)
-    compiled = CheckerEngine(universe, ImageCache(), compiled=True)
-    ri = interpreted.check(pre, command, post)
-    rc = compiled.check(pre, command, post)
-    same = (
-        ri.valid == rc.valid
-        and ri.witness_pre == rc.witness_pre
-        and ri.witness_post == rc.witness_post
-        and ri.checked_sets == rc.checked_sets
-    )
-    assert same, "compiled engine disagrees with the interpreted engine"
-    for attempt in range(attempts):
-        interp_t, _ = best_of(
-            repeats, lambda: interpreted.check(pre, command, post)
-        )
-        compiled_t, _ = best_of(
-            repeats, lambda: compiled.check(pre, command, post)
-        )
-        if compiled_t and interp_t / compiled_t >= MIN_COMPILED_SPEEDUP:
-            break
-        if attempt < attempts - 1:
-            print("  noisy measurement (%.1fx), re-measuring..."
-                  % (interp_t / compiled_t if compiled_t else float("inf")))
-    speedup = interp_t / compiled_t if compiled_t else float("inf")
-    print()
-    print(
-        "compiled evaluation: %d extended states, %d candidate sets "
-        "(assertion-heavy, always-true)"
-        % (universe.size(), ri.checked_sets)
-    )
-    print("  interpreted engine (holds per set): %8.4fs" % interp_t)
-    print("  compiled engine (incremental):      %8.4fs   %6.1fx"
-          % (compiled_t, speedup))
-    assert speedup >= MIN_COMPILED_SPEEDUP, (
-        "expected >= %.0fx over the interpreted engine, measured %.1fx"
-        % (MIN_COMPILED_SPEEDUP, speedup)
-    )
-    print("compiled speedup >= %.0fx: OK" % MIN_COMPILED_SPEEDUP)
-
-
-def bench_bitset(repeats, attempts=3):
-    """Bitset vs frozenset enumeration where only the ``Δ`` is left.
-
-    Two variables over ``0..3``: 16 extended states, 65536 candidate
-    sets, every image the full universe (``nonDet`` on both variables),
-    constant pre/post.  Both engines walk the identical size-ordered
-    enumeration; the frozenset one allocates a set and unions ``O(n)``
-    elements per candidate, the bitset one ORs two machine words.
-    """
-    universe = Universe(["x", "y"], IntRange(0, 3))
-    command = parse_command("x := nonDet(); y := nonDet()")
-    pre = post = TRUE_H
-    bitset = CheckerEngine(universe, ImageCache(), bitset=True)
-    plain = CheckerEngine(universe, ImageCache(), bitset=False)
-    rb = bitset.check(pre, command, post)
-    rp = plain.check(pre, command, post)
-    same = (
-        rb.valid == rp.valid
-        and rb.witness_pre == rp.witness_pre
-        and rb.witness_post == rp.witness_post
-        and rb.checked_sets == rp.checked_sets
-    )
-    assert same, "bitset engine disagrees with the frozenset engine"
-    for attempt in range(attempts):
-        plain_t, _ = best_of(repeats, lambda: plain.check(pre, command, post))
-        bitset_t, _ = best_of(repeats, lambda: bitset.check(pre, command, post))
-        if bitset_t and plain_t / bitset_t >= MIN_BITSET_SPEEDUP:
-            break
-        if attempt < attempts - 1:
-            print("  noisy measurement (%.1fx), re-measuring..."
-                  % (plain_t / bitset_t if bitset_t else float("inf")))
-    speedup = plain_t / bitset_t if bitset_t else float("inf")
-    print()
-    print(
-        "bitset evaluation: %d extended states, %d candidate sets "
-        "(union-dominated, constant pre/post)"
-        % (universe.size(), rb.checked_sets)
-    )
-    print("  frozenset engine (bitset=False):    %8.4fs" % plain_t)
-    print("  bitset engine (id-bitmasks):        %8.4fs   %6.1fx"
-          % (bitset_t, speedup))
-    assert speedup >= MIN_BITSET_SPEEDUP, (
-        "expected >= %.0fx over the frozenset engine, measured %.1fx"
-        % (MIN_BITSET_SPEEDUP, speedup)
-    )
-    print("bitset speedup >= %.0fx: OK" % MIN_BITSET_SPEEDUP)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -328,8 +187,6 @@ def main(argv=None):
     print("=" * 64)
     cross_validate(universe)
     bench_speedup(universe, repeats)
-    bench_compiled(repeats)
-    bench_bitset(repeats)
 
 
 if __name__ == "__main__":

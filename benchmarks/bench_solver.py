@@ -1,7 +1,7 @@
 """E21 — the SAT backend vs brute-force entailment (the Z3 substitution).
 
 Expected shape: identical verdicts; brute force is exponential in the
-universe (2^n subsets), the grounding + DPLL pipeline handles universes
+universe (2^n subsets), the grounding + CDCL pipeline handles universes
 whose powerset is far out of reach (the crossover is around a dozen
 states) — the same reason the authors' Hypra uses an SMT solver."""
 
@@ -58,62 +58,6 @@ def test_brute_agrees_on_small_universe(benchmark):
     for (name, _, _, _), (brute, sat) in zip(QUERIES, results):
         print("  %-28s brute=%s sat=%s" % (name, brute, sat))
         assert brute == sat
-
-
-def test_watched_vs_rescan_on_validity_encodings(benchmark):
-    """Two-watched-literal vs full-rescan propagation, same verdicts.
-
-    The workload is the shape the watched scheme was built for: whole-
-    triple validity encodings (:mod:`repro.symbolic.encode`) — long
-    implication chains over hundreds of link clauses — where rescan
-    propagation revisits every clause after every assignment.
-    """
-    import time
-
-    from repro.checker.engine import CheckerEngine, ImageCache
-    from repro.lang.parser import parse_command
-    from repro.solver.cnf import tseitin
-    from repro.solver.sat import SATSolver
-    from repro.symbolic import encode_validity
-
-    uni = Universe(["x", "y"], IntRange(0, 3))
-    states = tuple(uni.ext_states())
-    engine = CheckerEngine(uni, ImageCache())
-    triples = [
-        (low("x"), "y := nonDet(); x := x + y", low("x")),
-        (low("x") & low("y"), "x := x + y; y := 0", agree_on(["x", "y"])),
-        (box(V("x").eq(0)), "x := x + 1; y := nonDet()", box(V("x").eq(1))),
-    ]
-    cnfs = []
-    for pre, program, post in triples:
-        command = parse_command(program)
-        table = engine.image_table(command, states)
-        cnfs.append(tseitin(encode_validity(pre, post, states, table, uni.domain)))
-
-    def solve_all(mode):
-        out = []
-        for cnf in cnfs:
-            solver = SATSolver(cnf.clauses, cnf.num_vars, propagation=mode)
-            out.append(solver.solve() is not None)
-        return out
-
-    watched = benchmark.pedantic(lambda: solve_all("watched"), rounds=2, iterations=1)
-    watched_elapsed = 0.0
-    for _ in range(3):
-        t = time.perf_counter()
-        assert solve_all("watched") == watched
-        watched_elapsed += time.perf_counter() - t
-    rescan_elapsed = 0.0
-    for _ in range(3):
-        t = time.perf_counter()
-        rescan = solve_all("rescan")
-        rescan_elapsed += time.perf_counter() - t
-        assert rescan == watched  # identical verdicts, mode is an implementation detail
-    clauses = sum(len(cnf.clauses) for cnf in cnfs)
-    print(
-        "\nwatched vs rescan on %d validity CNFs (%d clauses total): %.1fx"
-        % (len(cnfs), clauses, rescan_elapsed / watched_elapsed)
-    )
 
 
 def test_restarts_and_reduction_on_validity_encodings(benchmark):

@@ -28,8 +28,8 @@ Besides the human-readable log, ``--json`` (or always, with
 ``ratios`` collects every ``<number>x`` figure printed by a bench (the
 speedup/scaling headlines), so CI artifacts track the performance
 trajectory without parsing free text.  Exit code 0 iff every bench
-passed — a failed cross-validation inside any bench (e.g. the compiled
-engine disagreeing with the interpreted one) fails the whole run.
+passed — a failed cross-validation inside any bench (e.g. the engine
+disagreeing with the naive reference) fails the whole run.
 
 ``--compare BASELINE.json`` additionally diffs the fresh wall times
 against a previously committed artifact: every *ratio-bearing* bench

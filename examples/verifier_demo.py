@@ -2,9 +2,8 @@
 """The push-button verifier (the repository's Hypra analogue).
 
 Programs and hyper-assertions in concrete syntax, SAT-backed entailments,
-counterexamples on failure, Thm. 5 disproofs on demand — now through the
-:class:`repro.api.Session` backend-chain API (the legacy ``Verifier``
-facade is a deprecated shim over exactly this).
+counterexamples on failure, Thm. 5 disproofs on demand — all through the
+:class:`repro.api.Session` backend-chain API.
 
 Run:  PYTHONPATH=src python examples/verifier_demo.py
 """

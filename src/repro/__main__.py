@@ -169,14 +169,14 @@ def build_fuzz_parser():
     parser.add_argument(
         "--checks",
         help="comma-separated check selectors, matched as substrings against "
-        "the per-trial check kinds (engine-vs-naive, compiled-vs-interpreted, "
-        "bitset-vs-frozenset, terminating-engine-vs-naive, "
-        "sampled-engine-vs-naive, syntactic-vs-oracle, chain-vs-oracle, "
-        "symbolic-vs-engine, hl-embedding, il-embedding, store-vs-inline, "
-        "incremental-vs-cold); "
-        "prefix a selector with '-' to exclude instead, e.g. --checks bitset "
+        "the per-trial check kinds (engine-vs-naive, "
+        "terminating-engine-vs-naive, sampled-engine-vs-naive, "
+        "syntactic-vs-oracle, chain-vs-oracle, symbolic-vs-engine, "
+        "hl-embedding, il-embedding, store-vs-inline, incremental-vs-cold, "
+        "parallel-vs-sequential); "
+        "prefix a selector with '-' to exclude instead, e.g. --checks symbolic "
         "or --checks=-embedding; --checks list prints the known kinds and "
-        "exits (default: run all twelve)",
+        "exits (default: run all eleven)",
     )
     parser.add_argument(
         "--list-checks",

@@ -25,11 +25,6 @@ Every result object — tasks, outcomes, proofs, witnesses, task results,
 reports — serializes through :mod:`repro.codec` (``to_wire`` /
 ``from_wire`` with a ``schema_version``), which is what process shards,
 persistent caches and the ``--json`` CLI speak.
-
-The legacy :class:`repro.verifier.Verifier` facade is a thin deprecated
-shim over :class:`Session`, and the pre-algebra
-:class:`~repro.api.task.Attempt` record survives as a deprecated view
-over an outcome.
 """
 
 from .backends import (
@@ -49,10 +44,9 @@ from .session import (
     default_backends,
 )
 from .sharding import SessionSpec, default_shards, verify_many_sharded
-from .task import Attempt, Budget, VerificationTask
+from .task import Budget, VerificationTask
 
 __all__ = [
-    "Attempt",
     "Backend",
     "Budget",
     "CachingOracle",

@@ -54,7 +54,7 @@ from .backends import (
     SyntacticWPBackend,
 )
 from .outcome import Outcome, Undecided
-from .task import Attempt, Budget, VerificationTask, as_outcome
+from .task import Budget, VerificationTask, as_outcome
 
 _MISS = object()
 
@@ -156,11 +156,6 @@ class TaskResult(WireCodec):
     decided_by = outcome
 
     @property
-    def attempts(self):
-        """Deprecated: the outcomes as legacy :class:`Attempt` views."""
-        return tuple(Attempt.of(o) for o in self.outcomes)
-
-    @property
     def verdict(self):
         outcome = self.outcome
         return None if outcome is None else outcome.verdict
@@ -230,7 +225,7 @@ class Report(WireCodec):
     (``evictions`` stays 0 unless the session bounds the cache with
     ``max_image_entries``); ``image_mask_*`` are the same deltas for the
     cache's bitset *mask tier* — the per-universe id-bitmask images the
-    bitset engine enumerates with (a mask hit never touches the
+    engine enumerates with (a mask hit never touches the
     frozenset tier, a mask miss computes through it); process-sharded
     batches aggregate the workers' private caches.  ``entailment_sat_decisions`` /
     ``entailment_brute_decisions`` are likewise per-batch deltas of the

@@ -33,7 +33,7 @@ and reassembled by index).
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..codec import WireError, from_wire, to_wire
@@ -136,17 +136,11 @@ def _init_worker(spec):
     _WORKER_SESSION = spec.build()
 
 
-def _run_chunk(chunk, budgets, transport_proofs):
-    """Verify one chunk of task documents → outcome documents + cache delta.
-
-    With ``transport_proofs=False`` proof trees are stripped before
-    encoding (the pre-codec behavior, kept as a benchmark baseline so
-    ``benchmarks/bench_fuzz_shard.py`` can bound the cost of full proof
-    transport).
-    """
+def _run_chunk(chunk, budgets):
+    """Verify one chunk of task documents → outcome documents + cache delta."""
     session = _WORKER_SESSION
     try:
-        return _run_chunk_inner(session, chunk, budgets, transport_proofs)
+        return _run_chunk_inner(session, chunk, budgets)
     finally:
         # tear the nested intra-task pool down while this shard worker is
         # still alive: leaving it to interpreter-exit atexit hooks
@@ -155,7 +149,7 @@ def _run_chunk(chunk, budgets, transport_proofs):
         session.engine.close()
 
 
-def _run_chunk_inner(session, chunk, budgets, transport_proofs):
+def _run_chunk_inner(session, chunk, budgets):
     before = session.oracle.cache_info()
     images_before = session.images.stats()
     compiles_before = session.compiles.stats()
@@ -165,12 +159,7 @@ def _run_chunk_inner(session, chunk, budgets, transport_proofs):
     for index, document in chunk:
         task = from_wire(document)
         result = session._run_task(task, None, budgets)
-        encoded = []
-        for outcome in result.outcomes:
-            if not transport_proofs and outcome.proof is not None:
-                outcome = replace(outcome, proof=None)
-            encoded.append(to_wire(outcome))
-        out.append((index, encoded))
+        out.append((index, [to_wire(outcome) for outcome in result.outcomes]))
     after = session.oracle.cache_info()
     images_after = session.images.stats()
     compiles_after = session.compiles.stats()
@@ -205,9 +194,7 @@ def _run_chunk_inner(session, chunk, budgets, transport_proofs):
 # ---------------------------------------------------------------------------
 
 
-def verify_many_sharded(
-    session, tasks, shards=None, backends=None, budgets=None, transport_proofs=True
-):
+def verify_many_sharded(session, tasks, shards=None, backends=None, budgets=None):
     """Run a batch over ``shards`` worker processes → a :class:`Report`.
 
     The parent normalizes and encodes every task (so parse and encoding
@@ -246,7 +233,7 @@ def verify_many_sharded(
         max_workers=shards, initializer=_init_worker, initargs=(spec,)
     ) as pool:
         futures = [
-            pool.submit(_run_chunk, chunk, allowances, transport_proofs)
+            pool.submit(_run_chunk, chunk, allowances)
             for chunk in chunks
         ]
         for future in futures:

@@ -6,15 +6,9 @@ A :class:`VerificationTask` is one hyper-triple ``{pre} command {post}``
 attempt.  What a backend reports back is an
 :class:`~repro.api.outcome.Outcome` from the closed algebra
 ``Proved(proof)`` / ``Refuted(witness)`` / ``Undecided(reason)``.
-
-:class:`Attempt` — the pre-algebra result record with a bare
-three-valued ``verdict`` and loose ``proof``/``counterexample`` fields —
-survives as a thin deprecated view over an outcome, the way the
-``Verifier`` facade survived the Session redesign.
 """
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -111,157 +105,9 @@ class Budget:
 
 
 def as_outcome(result):
-    """Coerce a backend's return value to an :class:`Outcome`.
-
-    Accepts outcomes as-is and unwraps legacy :class:`Attempt` records,
-    so pre-algebra third-party backends keep working against the chain.
-    """
+    """Check that a backend returned an :class:`Outcome`."""
     from .outcome import Outcome
 
     if isinstance(result, Outcome):
         return result
-    if isinstance(result, Attempt):
-        return result.outcome
-    raise TypeError(
-        "backends must return an Outcome (or a deprecated Attempt), "
-        "got %r" % (result,)
-    )
-
-
-class Attempt:
-    """Deprecated: the pre-algebra view of one backend result.
-
-    .. deprecated:: 1.2
-        Backends return :class:`~repro.api.outcome.Proved` /
-        :class:`~repro.api.outcome.Refuted` /
-        :class:`~repro.api.outcome.Undecided` outcomes; results expose
-        them as :attr:`TaskResult.outcomes`.  This class remains as a
-        read-only adapter (``TaskResult.attempts``) and as a constructor
-        shim for old backends — constructing one builds the equivalent
-        outcome and warns.
-
-    The historical fields map as: ``verdict`` → the outcome class,
-    ``proof``/``assumptions`` → :class:`Proved`, ``counterexample``
-    (text) → ``Refuted.witness.describe()``, ``note`` → ``note`` or
-    ``Undecided.reason``.  A legacy-constructed attempt additionally
-    keeps the exact ``proof``/``counterexample``/``assumptions`` values
-    it was given, so its accessors read back verbatim even where the
-    algebra has no slot for them (e.g. assumptions on a refutation).
-    """
-
-    __slots__ = ("_outcome", "_proof", "_counterexample", "_assumptions")
-
-    def __init__(
-        self,
-        backend,
-        verdict,
-        method,
-        proof=None,
-        counterexample=None,
-        elapsed=0.0,
-        assumptions=(),
-        note="",
-    ):
-        from .outcome import Proved, Refuted, Undecided
-
-        warnings.warn(
-            "Attempt is deprecated; return repro.api.outcome Outcomes "
-            "(Proved/Refuted/Undecided) from backends instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if verdict is True:
-            outcome = Proved(
-                backend,
-                method,
-                elapsed=elapsed,
-                note=note,
-                proof=proof,
-                assumptions=tuple(assumptions),
-            )
-        elif verdict is False:
-            # A legacy counterexample is explanation text, not a witness
-            # pair; preserve it in the note so the converted outcome
-            # (which has no slot for loose text) loses nothing.
-            if counterexample and counterexample not in note:
-                note = (note + "; " if note else "") + counterexample
-            outcome = Refuted(backend, method, elapsed=elapsed, note=note)
-        else:
-            outcome = Undecided(backend, method, elapsed=elapsed, reason=note)
-        self._outcome = outcome
-        # view-level overrides: read back exactly what the caller passed
-        self._proof = proof
-        self._counterexample = counterexample
-        self._assumptions = tuple(assumptions)
-
-    @classmethod
-    def of(cls, outcome):
-        """The (warning-free) view over an existing outcome."""
-        view = cls.__new__(cls)
-        view._outcome = outcome
-        view._proof = None
-        view._counterexample = None
-        view._assumptions = ()
-        return view
-
-    @property
-    def outcome(self):
-        """The underlying :class:`~repro.api.outcome.Outcome`."""
-        return self._outcome
-
-    @property
-    def backend(self):
-        return self._outcome.backend
-
-    @property
-    def verdict(self):
-        return self._outcome.verdict
-
-    @property
-    def method(self):
-        return self._outcome.method
-
-    @property
-    def proof(self):
-        return self._proof if self._proof is not None else self._outcome.proof
-
-    @property
-    def counterexample(self):
-        if self._counterexample is not None:
-            return self._counterexample
-        return self._outcome.counterexample
-
-    @property
-    def elapsed(self):
-        return self._outcome.elapsed
-
-    @property
-    def assumptions(self):
-        return self._assumptions or self._outcome.assumptions
-
-    @property
-    def note(self):
-        return self._outcome.note
-
-    @property
-    def decided(self):
-        return self._outcome.decided
-
-    def __eq__(self, other):
-        if isinstance(other, Attempt):
-            return self._outcome == other._outcome
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._outcome)
-
-    def __repr__(self):
-        verdict = {True: "verified", False: "refuted", None: "undecided"}[self.verdict]
-        extra = " (%s)" % self.note if self.note else ""
-        return "Attempt(%s: %s via %s, %.3fs%s)" % (
-            self.backend,
-            verdict,
-            self.method,
-            self.elapsed,
-            extra,
-        )
+    raise TypeError("backends must return an Outcome, got %r" % (result,))

@@ -372,6 +372,11 @@ def as_hexpr(value):
 class SynAssertion(Assertion):
     """Abstract base of Def. 9 syntactic hyper-assertions."""
 
+    def describe(self):
+        """The paper-style concrete syntax (see :mod:`.printer`)."""
+        from .printer import pretty_assertion
+
+        return pretty_assertion(self)
 
     def eval(self, states, sigma_env, delta_env, domain):
         """Satisfaction ``S, Σ, Δ |= A`` (Def. 12)."""

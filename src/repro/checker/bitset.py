@@ -15,8 +15,8 @@ precision ints:
 - size:         :func:`popcount`
 - iteration:    :func:`iter_bits` — ascending id order, which matches
   the universe's ``ext_states()`` order, so size-ordered subset
-  enumeration and witness decoding stay byte-identical to the
-  frozenset engine.
+  enumeration and witness decoding stay byte-identical to the naive
+  reference's frozenset walk.
 
 The helpers here are deliberately tiny and allocation-free; the
 engine's hot loop inlines the same idioms (``mask & -mask`` bit

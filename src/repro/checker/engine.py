@@ -1,11 +1,12 @@
 """The precomputed-image, compiled-evaluation checker engine behind the
 Def. 5 oracle.
 
-The naive oracle re-runs ``sem(C, S)`` from scratch for every candidate
-initial set ``S``: over a universe of ``n`` extended states that is
-``O(2**n)`` big-step executions, each program state re-executed up to
-``2**(n-1)`` times.  :class:`CheckerEngine` removes the re-execution —
-and, since the compile-once refactor, the re-*evaluation*:
+The naive oracle (:func:`~repro.checker.validity.naive_check_triple`)
+re-runs ``sem(C, S)`` from scratch for every candidate initial set
+``S``: over a universe of ``n`` extended states that is ``O(2**n)``
+big-step executions, each program state re-executed up to ``2**(n-1)``
+times, and both assertions re-walked over every set.
+:class:`CheckerEngine` removes the re-execution and the re-evaluation:
 
 1. every extended state is executed **once** up front into a per-state
    *image* ``image(φ) = {(φ_L, σ') | ⟨C, φ_P⟩ → σ'}``, so ``sem(C, S) =
@@ -13,18 +14,21 @@ and, since the compile-once refactor, the re-*evaluation*:
    itself runs on a fused step function
    (:func:`repro.compile.compile_command`) instead of a per-node tree
    walk;
-2. candidate sets are decided by unioning those precomputed images,
-   built *incrementally* along the size-ordered subset enumeration (each
-   enumeration step extends a prefix union by one image);
+2. every extended state is interned to a dense id
+   (:meth:`~repro.checker.universe.Universe.index_of`), so candidate
+   sets and image unions are int bitmasks, built *incrementally* along
+   the size-ordered subset enumeration: each step is ``mask | bit`` /
+   ``acc | image_mask`` — no per-element hashing, no frozenset
+   allocation;
 3. ``pre``/``post`` are compiled once
    (:func:`repro.compile.compile_assertion`) into incremental
    :class:`~repro.compile.assertion.SetEvaluator` objects whose
    ``push``/``pop`` mirror the same enumeration steps, so each candidate
    set is *decided* in ``O(Δ)`` — the work proportional to the one state
-   (and its image) the step added — instead of re-walking the assertion
-   over the whole set; assertion forms outside the incremental fragment
-   fall back to compiled whole-set evaluation, with the reason recorded
-   on the compiled object and the compile cache (never silently);
+   (and its image) the step added; assertion forms outside the
+   incremental fragment fall back to mask-native or compiled whole-set
+   evaluation, with the reason recorded on the compiled object and the
+   compile cache (never silently);
 4. states that can never appear in a precondition-satisfying set are
    pruned up front by a sound syntactic analysis of the precondition
    (:func:`state_prefilter`), shrinking the ``2**n`` base;
@@ -36,43 +40,22 @@ and, since the compile-once refactor, the re-*evaluation*:
    a program state or recompiles a tree.
 
 The overall cost drops from the naive ``O(2**n · exec · eval)`` to
-``O(n · exec + 2**n · Δ)``, where ``Δ`` is the per-step incremental
-work: one image union plus one evaluator push (``O(1)``–``O(|S|)`` body
-evaluations depending on the assertion's quantifier depth) — the
-pre-compile engine's ``O(2**n · union)`` accounting ignored assertion
-evaluation, which re-walked both assertions over every candidate set
-and dominated assertion-heavy workloads.  With intra-task parallelism
-(``parallel=P``, :mod:`repro.checker.parallel`) the enumeration term
-divides across cores: ``O(n · exec + 2**n · Δ / P)`` — the image table
-is still built once in the parent, only the scan is partitioned, and
-the merge keeps verdict/witness/``checked_sets`` byte-identical to the
-serial scan (the canonical counterexample is the *lowest-index*
-refutation across blocks).
+``O(n · exec + 2**n · Δ)``, where ``Δ`` is one machine-word image union
+plus one evaluator push.  With intra-task parallelism (``parallel=P``,
+:mod:`repro.checker.parallel`) the enumeration term divides across
+cores: the image table is still built once in the parent, only the scan
+is partitioned, and the merge keeps verdict/witness/``checked_sets``
+byte-identical to the serial scan (the canonical counterexample is the
+*lowest-index* refutation across blocks).
 
-Since the bitset core (default ``bitset=True``), ``Δ`` is not merely
-``O(1)`` set operations but **machine-word operations on Python ints**:
-every extended state is interned to a dense id
-(:meth:`~repro.checker.universe.Universe.index_of`), candidate sets and
-image unions are int bitmasks, and each enumeration step is ``mask |
-bit`` / ``acc | image_mask`` — no per-element hashing, no frozenset
-allocation, no rehash of state tuples.  For universes up to the word
-size the whole per-step Δ fits in a handful of CPU instructions; beyond
-that it scales with ``n/64`` words, still orders of magnitude below a
-frozenset union.  :meth:`CheckerEngine.scan_masks` is the mask-native
-enumeration; public results (:class:`CheckResult` witnesses) decode
-masks back to frozensets only at the boundary, so the API and the
-enumeration order are byte-identical to the frozenset engine
-(``bitset=False``), which survives as benchmark baseline and as the
-``bitset-vs-frozenset`` differential-fuzz foil.
-
-Construct the engine with ``compiled=False`` to get the pre-compile
-behavior (interpreted ``holds`` per candidate set, interpreted big-step
-execution): enumeration order, verdicts, witnesses and ``checked_sets``
-are **identical** in both modes — only the cost differs — which the
-cross-validation tests, ``benchmarks/bench_checker_engine.py`` and the
-``compiled-vs-interpreted`` differential fuzz check enforce.  The naive
-reference implementations retained in :mod:`repro.checker.validity`
-remain fully interpreted end to end.
+:meth:`CheckerEngine.scan_masks` is the one enumeration; results
+(:class:`CheckResult` witnesses) decode masks back to frozensets only at
+the boundary.  Its enumeration order is that of
+:func:`candidate_initial_sets`, so verdicts and witnesses equal the
+interpreted naive reference in :mod:`repro.checker.validity`, and
+``checked_sets`` does too when the prefilter is off — which the
+cross-validation tests and the ``engine-vs-naive`` differential fuzz
+check enforce.
 """
 
 import threading
@@ -93,7 +76,7 @@ from ..deps.fingerprint import (
     fingerprint as _fingerprint,
     subtree_fingerprints as _subtree_fingerprints,
 )
-from ..semantics.bigstep import post_states, post_states_interpreted
+from ..semantics.bigstep import post_states
 from ..semantics.state import ExtState
 from ..util import iter_subsets
 
@@ -352,15 +335,7 @@ def _walk_prefilter(node, domain, compile_cache):
             return None
         if body.free_value_vars():
             return None
-        name = node.state
-        if compile_cache is not False:
-            return compile_state_predicate(body, name, domain, compile_cache)
-        empty = frozenset()
-
-        def keep(phi):
-            return bool(body.eval(empty, {name: phi}, {}, domain))
-
-        return keep
+        return compile_state_predicate(body, node.state, domain, compile_cache)
     return None
 
 
@@ -394,8 +369,7 @@ def state_prefilter(pre, domain, compile_cache=None):
     that may still appear; ``None`` means no pruning applies.
 
     The per-state bodies are compiled (``compile_cache=None`` uses the
-    module-wide compile cache; pass ``False`` to force the interpreted
-    bodies — the ``compiled=False`` engine does).  Pruning never changes
+    module-wide compile cache).  Pruning never changes
     the verdict or the reported witness: the skipped sets are precisely
     those the naive oracle would have discarded via ``pre.holds``, and
     the enumeration order of the surviving sets is preserved.
@@ -412,9 +386,8 @@ def state_prefilter_mask(pre, universe, compile_cache=None):
 
     Bit ``i`` is set iff ``ext_states()[i]`` may still appear in a
     precondition-satisfying set; ``None`` means no pruning applies.  The
-    bitset engine intersects candidate enumeration with this mask — the
-    surviving ids keep their ascending order, so the enumeration order
-    matches the frozenset engine's filtered-tuple walk exactly.
+    engine intersects candidate enumeration with this mask — the
+    surviving ids keep their ascending order.
     """
     keep = state_prefilter(pre, universe.domain, compile_cache)
     if keep is None:
@@ -451,37 +424,6 @@ def _unrank_combination(n, k, rank):
     return tuple(out)
 
 
-def _sized_unions(states, img, k):
-    """Yield ``(frozenset(combo), ⋃ images)`` for all size-``k`` combos.
-
-    Enumeration order matches ``itertools.combinations`` (and therefore
-    :func:`~repro.util.iter_subsets` within one size class); the union is
-    extended incrementally along the recursion, one image per step.
-    ``img`` maps a state to its image — typically a lazy memoized lookup,
-    so an early refutation never executes the untouched states.
-    """
-    n = len(states)
-    if k == 0:
-        yield frozenset(), frozenset()
-        return
-    chosen = []
-
-    def rec(start, union):
-        need = k - len(chosen)
-        if need == 0:
-            yield frozenset(chosen), union
-            return
-        for i in range(start, n - need + 1):
-            phi = states[i]
-            chosen.append(phi)
-            for item in rec(i + 1, union | img(phi)):
-                yield item
-            chosen.pop()
-
-    for item in rec(0, frozenset()):
-        yield item
-
-
 class CheckerEngine:
     """Decides hyper-triples over one universe via precomputed images
     and compiled incremental assertion evaluation.
@@ -499,21 +441,6 @@ class CheckerEngine:
         An optional shared :class:`~repro.compile.cache.CompileCache`
         for compiled commands, assertions and prefilter predicates
         (default: the module-wide cache).
-    compiled:
-        ``True`` (default) routes evaluation through the compile-once
-        layer; ``False`` reproduces the pre-compile interpreted engine —
-        same enumeration order, verdicts, witnesses and
-        ``checked_sets``, used as a benchmark baseline and by the
-        ``compiled-vs-interpreted`` conformance check.
-    bitset:
-        ``True`` (default) runs the compiled enumeration on the interned
-        bitset core — candidate sets and image unions are int masks, the
-        per-step Δ a machine-word op (see :meth:`scan_masks`).
-        ``False`` is the escape hatch to the frozenset recursion: same
-        enumeration order, verdicts, witnesses and ``checked_sets``,
-        used as a benchmark baseline and by the ``bitset-vs-frozenset``
-        conformance check.  Ignored (no bitset core) in interpreted
-        mode.
     parallel:
         ``None`` (default) scans serially.  An integer ``P >= 2``
         partitions each large-enough :meth:`check` scan into contiguous
@@ -522,7 +449,7 @@ class CheckerEngine:
         (:class:`~repro.checker.parallel.ParallelScanner`); the merge
         accepts the lowest-index refutation, so verdict, witness and
         ``checked_sets`` stay byte-identical to the serial scan.
-        Requires the compiled bitset engine; ineligible scans (pinned
+        Ineligible scans (pinned
         ``EqualsSet`` preconditions, non-wire-encodable assertions,
         universes off the ``SessionSpec`` grid, scans smaller than
         ``parallel_min_candidates``) silently run serially.
@@ -538,13 +465,11 @@ class CheckerEngine:
     #: parallel engine — block submission costs ~a millisecond each.
     PARALLEL_MIN_CANDIDATES = 4096
 
-    def __init__(self, universe, cache=None, compile_cache=None, compiled=True,
-                 bitset=True, parallel=None, parallel_min_candidates=None):
+    def __init__(self, universe, cache=None, compile_cache=None, parallel=None,
+                 parallel_min_candidates=None):
         self.universe = universe
         self.cache = cache if cache is not None else ImageCache()
         self.compiles = compile_cache
-        self.compiled = compiled
-        self.bitset = bool(bitset) and bool(compiled)
         self.parallel = parallel if parallel and parallel >= 2 else None
         self.parallel_min_candidates = (
             self.PARALLEL_MIN_CANDIDATES
@@ -558,7 +483,7 @@ class CheckerEngine:
     def _parallel_scanner(self):
         """The lazily-built :class:`~repro.checker.parallel.ParallelScanner`
         behind ``parallel=P`` engines, or ``None``."""
-        if self.parallel is None or not self.bitset:
+        if self.parallel is None:
             return None
         if self._scanner is None:
             from .parallel import ParallelScanner
@@ -589,9 +514,7 @@ class CheckerEngine:
 
     # -- compiled artifacts ------------------------------------------------
     def _executor(self, command):
-        """The per-state executor for ``command`` in this engine's mode."""
-        if not self.compiled:
-            return post_states_interpreted
+        """The compiled per-state executor for ``command``."""
         executor = self._executors.get(command)
         if executor is None:
             step = compile_command(command, self.universe.domain, self.compiles)
@@ -642,19 +565,6 @@ class CheckerEngine:
             out |= self.image(command, phi, max_states)
         return out
 
-    def can_terminate(self, command, phi, max_states=100000):
-        """Whether ``φ`` has at least one terminating execution.
-
-        Free given the image: the big-step fixpoint computes the complete
-        final-state set, so "can terminate" is "image is non-empty".
-        """
-        return bool(
-            self.cache.post_image(
-                command, phi.prog, self.universe.domain, max_states,
-                executor=self._executor(command),
-            )
-        )
-
     # -- enumeration -------------------------------------------------------
     def filtered_ids(self, pre, prefilter=True):
         """The state ids :meth:`scan_masks` enumerates over, in order:
@@ -680,13 +590,17 @@ class CheckerEngine:
         ids=None,
         images=None,
     ):
-        """The bitset enumeration core: :meth:`scan` over int masks.
+        """Lazily walk the candidate initial sets as id bitmasks.
 
-        Yields ``(subset_mask, post_mask, ok)`` — the same candidates,
-        in the same size-ordered enumeration order, with the same
-        verdicts as :meth:`scan`, but every set is an id bitmask over
-        the universe's interner: extending a candidate is ``mask |
-        bit``, extending its post-set is ``acc | image_mask``, and the
+        Yields ``(subset_mask, post_mask, ok)`` per candidate, in the
+        order of :func:`candidate_initial_sets`: ``post_mask`` is
+        ``None`` when the precondition rejects the subset, otherwise it
+        is ``sem(C, subset)`` and ``ok`` records whether the
+        postcondition accepted it.  Every set is an id bitmask over the
+        universe's interner (decode with
+        :meth:`~repro.checker.universe.Universe.states_of`): extending a
+        candidate is ``mask | bit``, extending its post-set is ``acc |
+        image_mask``, and the
         post evaluator receives only the genuinely new states
         (``image & ~acc`` — distinct by construction, so even fallback-
         free *and* fallback-carrying post assertions skip the multiset
@@ -696,9 +610,16 @@ class CheckerEngine:
         projection caches; only shapes with no mask specialization
         decode at the boundary.
 
-        Requires the compiled bitset engine (``compiled=True`` and
-        ``bitset=True``); callers wanting frozensets use :meth:`scan`,
-        which decodes each yield.
+        Images are computed lazily as the enumeration first touches each
+        state, so callers polling a budget between candidates never pay
+        more than a few new executions per yield, and an early
+        refutation leaves the rest unexecuted.
+
+        ``pin_equals_set=False`` disables the ``EqualsSet``
+        single-candidate shortcut and enumerates universe subsets like
+        any other precondition — required where the pinned target may
+        contain states outside the universe (the terminating check's
+        Def. 24 quantifier only ranges over universe subsets).
 
         The three resumption parameters exist for the partitioned scan
         (:mod:`repro.checker.parallel`): ``start`` skips the first
@@ -713,8 +634,6 @@ class CheckerEngine:
         """
         from ..assertions.semantic import EqualsSet
 
-        if not self.bitset:
-            raise ValueError("scan_masks requires a compiled bitset engine")
         universe = self.universe
         domain = universe.domain
         mask_of = universe.mask_of
@@ -779,9 +698,13 @@ class CheckerEngine:
                 const[which] = value
             return value
 
-        # Lazy post flush, as in the frozenset recursion: each edge
-        # parks its *new-states* mask; only a pre-passing leaf pushes
-        # the unflushed suffix.  Flushed entries form a stack prefix.
+        # Post states are pushed *lazily*: each enumeration edge parks
+        # its *new-states* mask, and only a leaf whose subset passed the
+        # precondition flushes the unflushed suffix into the post
+        # evaluator — pre-rejected branches (the common case) cost the
+        # post assertion nothing.  Flushed entries always form a prefix
+        # of the stack (ancestors flush before descendants), so one
+        # prefix-length counter suffices.
         pend = []
         flushed = [0]
 
@@ -862,164 +785,6 @@ class CheckerEngine:
             for item in rec(0, 0, 0, k, first if k == k0 else None):
                 yield item
 
-    def scan(
-        self,
-        pre,
-        command,
-        post,
-        max_size=None,
-        max_states=100000,
-        prefilter=True,
-        pin_equals_set=True,
-    ):
-        """Lazily walk the candidate initial sets, images precomputed.
-
-        Yields ``(subset, post_set, ok)`` per candidate, in the same
-        order as :func:`candidate_initial_sets`: ``post_set`` is ``None``
-        when the precondition rejects the subset, otherwise it is
-        ``sem(C, subset)`` and ``ok`` records whether the postcondition
-        accepted it.  Images are computed lazily as the enumeration first
-        touches each state (a pre-rejected subset may therefore still
-        have executed its members — at most once each), so callers
-        polling a budget between candidates never pay more than a few new
-        executions per yield, and an early refutation leaves the rest
-        unexecuted.
-
-        In compiled mode the pre/post decisions ride incremental
-        evaluators pushed and popped along the recursion; in interpreted
-        mode (``compiled=False``) each candidate re-walks ``holds``.
-        The yielded triples are identical either way.
-
-        ``pin_equals_set=False`` disables the ``EqualsSet``
-        single-candidate shortcut and enumerates universe subsets like
-        any other precondition — required where the pinned target may
-        contain states outside the universe (the terminating check's
-        Def. 24 quantifier only ranges over universe subsets).
-
-        On a bitset engine this is a decoding wrapper over
-        :meth:`scan_masks` — identical triples, paid per yield; bulk
-        consumers that only need verdicts (``check``, the exhaustive
-        backend) walk the masks directly and decode refutations only.
-        """
-        from ..assertions.semantic import EqualsSet
-
-        if self.bitset:
-            states_of = self.universe.states_of
-            for chosen, acc, ok in self.scan_masks(
-                pre, command, post, max_size, max_states, prefilter,
-                pin_equals_set,
-            ):
-                yield (
-                    states_of(chosen),
-                    None if acc is None else states_of(acc),
-                    ok,
-                )
-            return
-
-        domain = self.universe.domain
-        compiled = self.compiled
-        if pin_equals_set and isinstance(pre, EqualsSet):
-            if max_size is not None and len(pre.target) > max_size:
-                return
-            subset = pre.target
-            if not pre.holds(subset, domain):
-                yield subset, None, True
-                return
-            post_set = self.sem(command, subset, max_states)
-            if compiled:
-                ok = bool(self._compile(post).holds(post_set))
-            else:
-                ok = bool(post.holds(post_set, domain))
-            yield subset, post_set, ok
-            return
-        states = self.universe.ext_states()
-        if prefilter:
-            keep = state_prefilter(
-                pre, domain, self.compiles if compiled else False
-            )
-            if keep is not None:
-                states = tuple(phi for phi in states if keep(phi))
-        table = {}
-
-        def img(phi):
-            image = table.get(phi)
-            if image is None:
-                image = self.image(command, phi, max_states)
-                table[phi] = image
-            return image
-
-        cap = len(states) if max_size is None else min(max_size, len(states))
-        if not compiled:
-            for k in range(cap + 1):
-                for subset, post_set in _sized_unions(states, img, k):
-                    if not pre.holds(subset, domain):
-                        yield subset, None, True
-                        continue
-                    yield subset, post_set, bool(post.holds(post_set, domain))
-            return
-
-        cpre = self._compile(pre)
-        cpost = self._compile(post)
-        pre_eval = cpre.evaluator()
-        post_eval = cpost.evaluator()
-        # set-constant assertions need no evaluator traffic at all
-        pre_const = cpre.constant
-        post_const = cpost.constant
-        n = len(states)
-        chosen = []
-        # Post images are pushed *lazily*: each enumeration edge parks
-        # its image on this stack, and only a leaf whose subset passed
-        # the precondition flushes the unflushed suffix into the post
-        # evaluator — pre-rejected branches (the common case) cost the
-        # post assertion nothing, mirroring the interpreter, which never
-        # evaluates ``post`` for them at all.  Flushed entries always
-        # form a prefix of the stack (ancestors flush before
-        # descendants), so one prefix-length counter suffices.
-        post_pending = []
-        flushed = [0]
-
-        def flush_post():
-            for entry in post_pending[flushed[0]:]:
-                entry[1] = post_eval.push_many(entry[0])
-            flushed[0] = len(post_pending)
-
-        def rec(start, union, k):
-            need = k - len(chosen)
-            if need == 0:
-                subset = frozenset(chosen)
-                if not pre_eval.value():
-                    yield subset, None, True
-                else:
-                    if not post_const:
-                        flush_post()
-                    yield subset, union, post_eval.value()
-                return
-            for i in range(start, n - need + 1):
-                phi = states[i]
-                image = img(phi)
-                chosen.append(phi)
-                if not pre_const:
-                    pre_eval.push_state(phi)
-                if post_const:
-                    for item in rec(i + 1, union | image, k):
-                        yield item
-                else:
-                    entry = [image, None]
-                    post_pending.append(entry)
-                    for item in rec(i + 1, union | image, k):
-                        yield item
-                    post_pending.pop()
-                    if entry[1] is not None:
-                        post_eval.pop_many(entry[1])
-                        flushed[0] = len(post_pending)
-                if not pre_const:
-                    pre_eval.pop_state(phi)
-                chosen.pop()
-
-        for k in range(cap + 1):
-            for item in rec(0, frozenset(), k):
-                yield item
-
     # -- checks ------------------------------------------------------------
     def check(self, pre, command, post, max_size=None, max_states=100000,
               prefilter=True):
@@ -1031,31 +796,23 @@ class CheckerEngine:
         scan (see :mod:`repro.checker.parallel`), and ineligible scans
         fall through to the serial path below.
         """
-        checked = 0
-        if self.bitset:
-            scanner = self._parallel_scanner()
-            if scanner is not None:
-                outcome = scanner.run(
-                    pre, command, post, max_size, max_states, prefilter
-                )
-                if outcome is not None:
-                    return outcome[1]  # no budget: always ("done", result)
-            for chosen, acc, ok in self.scan_masks(
+        scanner = self._parallel_scanner()
+        if scanner is not None:
+            outcome = scanner.run(
                 pre, command, post, max_size, max_states, prefilter
-            ):
-                checked += 1
-                if not ok:
-                    states_of = self.universe.states_of
-                    return CheckResult(
-                        False, states_of(chosen), states_of(acc), checked
-                    )
-            return CheckResult(True, checked_sets=checked)
-        for subset, post_set, ok in self.scan(
+            )
+            if outcome is not None:
+                return outcome[1]  # no budget: always ("done", result)
+        checked = 0
+        for chosen, acc, ok in self.scan_masks(
             pre, command, post, max_size, max_states, prefilter
         ):
             checked += 1
             if not ok:
-                return CheckResult(False, subset, post_set, checked)
+                states_of = self.universe.states_of
+                return CheckResult(
+                    False, states_of(chosen), states_of(acc), checked
+                )
         return CheckResult(True, checked_sets=checked)
 
     def check_terminating(self, pre, command, post, max_size=None,
@@ -1064,53 +821,38 @@ class CheckerEngine:
         (Def. 24): the plain triple plus "every initial state can reach a
         final state" — the latter a cache hit, since the enumeration has
         already computed each member's image."""
+        states = self.universe.ext_states()
+        states_of = self.universe.states_of
+        term = {}
+
+        def all_terminate(chosen):
+            # φ can terminate iff image(φ) is non-empty, i.e. a non-zero
+            # image mask — no decode needed
+            m = chosen
+            while m:
+                low = m & -m
+                i = low.bit_length() - 1
+                m ^= low
+                t = term.get(i)
+                if t is None:
+                    t = bool(self.image_mask(command, states[i], max_states))
+                    term[i] = t
+                if not t:
+                    return False
+            return True
+
         checked = 0
-        if self.bitset:
-            states = self.universe.ext_states()
-            states_of = self.universe.states_of
-            term = {}
-
-            def all_terminate(chosen):
-                # can_terminate(φ) is "image(φ) non-empty", i.e. a
-                # non-zero image mask — no decode needed
-                m = chosen
-                while m:
-                    low = m & -m
-                    i = low.bit_length() - 1
-                    m ^= low
-                    t = term.get(i)
-                    if t is None:
-                        t = bool(
-                            self.image_mask(command, states[i], max_states)
-                        )
-                        term[i] = t
-                    if not t:
-                        return False
-                return True
-
-            for chosen, acc, ok in self.scan_masks(
-                pre, command, post, max_size, max_states, prefilter,
-                pin_equals_set=False,
-            ):
-                checked += 1
-                if acc is None:  # precondition rejected the subset
-                    continue
-                if not ok or not all_terminate(chosen):
-                    return CheckResult(
-                        False, states_of(chosen), states_of(acc), checked
-                    )
-            return CheckResult(True, checked_sets=checked)
-        for subset, post_set, ok in self.scan(
+        for chosen, acc, ok in self.scan_masks(
             pre, command, post, max_size, max_states, prefilter,
             pin_equals_set=False,
         ):
             checked += 1
-            if post_set is None:  # precondition rejected the subset
+            if acc is None:  # precondition rejected the subset
                 continue
-            if not ok:
-                return CheckResult(False, subset, post_set, checked)
-            if not all(self.can_terminate(command, phi, max_states) for phi in subset):
-                return CheckResult(False, subset, post_set, checked)
+            if not ok or not all_terminate(chosen):
+                return CheckResult(
+                    False, states_of(chosen), states_of(acc), checked
+                )
         return CheckResult(True, checked_sets=checked)
 
     def sampled_check(self, pre, command, post, rng, samples=200, max_set_size=4,
@@ -1124,16 +866,9 @@ class CheckerEngine:
         compiled whole-set closures (the draws are independent, so there
         is no prefix to evaluate incrementally along).
         """
-        domain = self.universe.domain
         states = list(self.universe.ext_states())
-        if self.compiled:
-            cpre = self._compile(pre)
-            cpost = self._compile(post)
-            pre_holds = cpre.holds
-            post_holds = cpost.holds
-        else:
-            pre_holds = lambda S: pre.holds(S, domain)  # noqa: E731
-            post_holds = lambda S: post.holds(S, domain)  # noqa: E731
+        pre_holds = self._compile(pre).holds
+        post_holds = self._compile(post).holds
         checked = 0
         for _ in range(samples):
             k = rng.randint(0, max_set_size)
@@ -1147,14 +882,7 @@ class CheckerEngine:
         return CheckResult(True, checked_sets=checked)
 
     def __repr__(self):
-        if not self.compiled:
-            mode = "interpreted"
-        elif self.bitset:
-            mode = "compiled+bitset"
-        else:
-            mode = "compiled"
-        return "CheckerEngine(%r, cache=%d images, %s)" % (
+        return "CheckerEngine(%r, cache=%d images, compiled+bitset)" % (
             self.universe,
             len(self.cache),
-            mode,
         )

@@ -27,8 +27,8 @@ tiled into contiguous index blocks and scanned independently:
    which the ``parallel-vs-sequential`` conformance check enforces over
    the fuzz stream.
 
-Scans are eligible when the engine is the compiled bitset engine over a
-plain ``SessionSpec``-expressible universe (:class:`IntRange` grid, no
+Scans are eligible when the engine's universe is a plain
+``SessionSpec``-expressible one (:class:`IntRange` grid, no
 custom logical-variable domain), the assertions are wire-encodable
 (semantic lambdas cannot cross a process boundary), the precondition is
 not a pinned ``EqualsSet`` (a single candidate — nothing to partition)
@@ -195,10 +195,21 @@ class ParallelScanner:
         return self._pool
 
     def close(self):
-        """Shut down the pool (idempotent; rebuilt on next use)."""
+        """Shut down the pool (idempotent; rebuilt on next use).
+
+        A partitioned scan running on another thread finishes first.
+        Closing also drops the exit hook, so a closed scanner — and the
+        engine and session behind it — can be garbage-collected.
+        """
+        with self._lock:
+            self._shutdown()
+
+    def _shutdown(self):
+        """:meth:`close` with ``_lock`` already held."""
         pool, self._pool = self._pool, None
         self._cut = None
         if pool is not None:
+            atexit.unregister(self.close)
             pool.shutdown(wait=False, cancel_futures=True)
 
     # -- the partitioned scan ----------------------------------------------
@@ -251,7 +262,7 @@ class ParallelScanner:
                     total, expired,
                 )
             except BrokenProcessPool:
-                self.close()
+                self._shutdown()
                 return None  # serial fallback decides the triple instead
 
     def _merge(self, pre_doc, post_doc, extras, ids, images, cap, max_states,

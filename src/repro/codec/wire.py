@@ -75,8 +75,11 @@ def register(kind, types, encode, decode):
 def _ensure_registered():
     global _REGISTERED
     if not _REGISTERED:
-        _REGISTERED = True
+        # the flag flips only once the import has run every registration:
+        # a thread arriving mid-import waits on the module's import lock
+        # instead of encoding against a half-filled registry
         from . import codecs  # noqa: F401  (imports run the registrations)
+        _REGISTERED = True
 
 
 def encode(obj):

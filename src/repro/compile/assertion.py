@@ -34,8 +34,8 @@ counted per reason by the owning
 Verdict parity is absolute: for every set the evaluator's ``value()``
 equals the interpreted ``assertion.holds(S, domain)`` — the engine's
 enumeration order, verdicts and witnesses are byte-identical to the
-interpreted path, which the differential fuzz harness re-checks on
-every trial (``compiled-vs-interpreted``).
+interpreted naive reference, which the differential fuzz harness
+re-checks on every trial (``engine-vs-naive``).
 """
 
 from itertools import product

@@ -9,19 +9,9 @@ on one generated trial at a time:
     The precomputed-image :class:`~repro.checker.engine.CheckerEngine`
     and the retained naive reference oracle must return the same verdict
     *and the same witness* (the enumeration orders are specified to
-    match).
-``compiled-vs-interpreted``
-    The compiled engine (closure-compiled commands, incremental
-    assertion evaluators) and an interpreted engine
-    (``compiled=False``) must return the same verdict, witness *and*
-    ``checked_sets`` — the enumeration is specified to be identical, so
-    every fuzz trial guards the compile layer for free.
-``bitset-vs-frozenset``
-    The bitset engine (id-interned states, candidate sets as int
-    bitmasks) vs the same compiled engine with the ``bitset=False``
-    escape hatch: verdict, witness and ``checked_sets`` must survive
-    the representation swap byte-identically — this is the guard for
-    the id-order quantifier iteration the mask evaluators use.
+    match); the engine run without the state prefilter must also report
+    the naive oracle's ``checked_sets``, since both walk the same
+    size-ordered candidate sequence.
 ``terminating-engine-vs-naive``
     Same, for the Def. 24 terminating check.
 ``sampled-engine-vs-naive``
@@ -88,12 +78,12 @@ the check kinds (``python -m repro fuzz --checks`` exposes it).
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..api.session import Session
 from ..assertions.syntax import SynAssertion
 from ..codec.mixin import WireCodec
-from ..checker.engine import CheckerEngine, ImageCache
+from ..checker.engine import CheckerEngine
 from ..checker.validity import (
     naive_check_terminating_triple,
     naive_check_triple,
@@ -115,8 +105,6 @@ _AUX_SALT = 0x5EED
 #: selectors are matched (by substring) against these names.
 CHECK_KINDS = (
     "engine-vs-naive",
-    "compiled-vs-interpreted",
-    "bitset-vs-frozenset",
     "terminating-engine-vs-naive",
     "sampled-engine-vs-naive",
     "syntactic-vs-oracle",
@@ -218,21 +206,6 @@ class DifferentialChecker:
         self.config = config
         self.session = Session(config.pvars, lo=config.lo, hi=config.hi)
         self.universe = self.session.universe
-        # the interpreted twin of the session's (compiled) engine: its
-        # own image cache, interpreted executor and interpreted holds —
-        # the compiled-vs-interpreted check runs both on every trial
-        self.interpreted_engine = CheckerEngine(
-            self.universe, ImageCache(), compiled=False
-        )
-        # the bitset escape hatch: same compiled evaluators, frozenset
-        # enumeration — shares the session's caches, so the only delta
-        # under test is the id-bitmask representation itself
-        self.frozenset_engine = CheckerEngine(
-            self.universe,
-            self.session.images,
-            compile_cache=self.session.compiles,
-            bitset=False,
-        )
         self.embeddings = embeddings
         self.samples = samples
         self.checks = None if checks is None else tuple(checks)
@@ -301,77 +274,15 @@ class DifferentialChecker:
                 (engine.witness_pre, engine.witness_post),
                 (naive.witness_pre, naive.witness_post),
             )
-        return None
-
-    def compiled_disagreement(self, triple, oracle=None):
-        """The compiled engine vs an interpreted (``compiled=False``) one.
-
-        Stronger than verdict+witness parity: ``checked_sets`` must match
-        too, since compilation is specified not to change the enumeration.
-        """
-        compiled = self._oracle(triple, oracle)
-        interpreted = self.interpreted_engine.check(
-            triple.pre, triple.command, triple.post
+        # the prefilter legitimately skips candidates the naive oracle
+        # enumerates, so the count is compared on an unfiltered run
+        unfiltered = self.session.engine.check(
+            triple.pre, triple.command, triple.post, prefilter=False
         )
-        if compiled.valid != interpreted.valid:
-            return "compiled engine says %s, interpreted engine says %s" % (
-                _verdict(compiled.valid),
-                _verdict(interpreted.valid),
-            )
-        if (
-            compiled.witness_pre != interpreted.witness_pre
-            or compiled.witness_post != interpreted.witness_post
-        ):
+        if unfiltered.checked_sets != naive.checked_sets:
             return (
-                "compiled and interpreted verdicts agree (%s) but witnesses "
-                "differ: %r vs %r"
-                % (
-                    _verdict(compiled.valid),
-                    (compiled.witness_pre, compiled.witness_post),
-                    (interpreted.witness_pre, interpreted.witness_post),
-                )
-            )
-        if compiled.checked_sets != interpreted.checked_sets:
-            return (
-                "compilation changed the enumeration: compiled checked %d "
-                "sets, interpreted checked %d"
-                % (compiled.checked_sets, interpreted.checked_sets)
-            )
-        return None
-
-    def bitset_disagreement(self, triple, oracle=None):
-        """The bitset engine vs the same engine with ``bitset=False``.
-
-        The id-bitmask enumeration is specified to visit the same
-        candidates in the same size-ordered sequence as the frozenset
-        recursion, so verdict, witness *and* ``checked_sets`` must all
-        survive the representation swap byte-identically.
-        """
-        bitset = self._oracle(triple, oracle)
-        plain = self.frozenset_engine.check(triple.pre, triple.command, triple.post)
-        if bitset.valid != plain.valid:
-            return "bitset engine says %s, frozenset engine says %s" % (
-                _verdict(bitset.valid),
-                _verdict(plain.valid),
-            )
-        if (
-            bitset.witness_pre != plain.witness_pre
-            or bitset.witness_post != plain.witness_post
-        ):
-            return (
-                "bitset and frozenset verdicts agree (%s) but witnesses "
-                "differ: %r vs %r"
-                % (
-                    _verdict(bitset.valid),
-                    (bitset.witness_pre, bitset.witness_post),
-                    (plain.witness_pre, plain.witness_post),
-                )
-            )
-        if bitset.checked_sets != plain.checked_sets:
-            return (
-                "the mask enumeration drifted: bitset checked %d sets, "
-                "frozenset checked %d"
-                % (bitset.checked_sets, plain.checked_sets)
+                "the enumeration drifted: engine checked %d sets, naive "
+                "oracle checked %d" % (unfiltered.checked_sets, naive.checked_sets)
             )
         return None
 
@@ -751,8 +662,6 @@ class DifferentialChecker:
             return Triple(t.pre, smaller, t.post, t.invariant)
 
         run("engine-vs-naive", self.oracle_disagreement, shrink_triple)
-        run("compiled-vs-interpreted", self.compiled_disagreement, shrink_triple)
-        run("bitset-vs-frozenset", self.bitset_disagreement, shrink_triple)
         run(
             "terminating-engine-vs-naive",
             lambda t, _: self.terminating_disagreement(t),

@@ -66,14 +66,18 @@ def session_for(spec):
             _SESSIONS.move_to_end(spec)
             return session
     built = spec.build()
+    evicted = []
     with _SESSIONS_LOCK:
         session = _SESSIONS.get(spec)
         if session is None:
             session = built
             _SESSIONS[spec] = session
             while len(_SESSIONS) > MAX_SESSIONS:
-                _SESSIONS.popitem(last=False)
-        return session
+                evicted.append(_SESSIONS.popitem(last=False)[1])
+    # an evicted session's intra-task pool would otherwise outlive it
+    for old in evicted:
+        old.close()
+    return session
 
 
 def session_registry_size():
@@ -83,7 +87,10 @@ def session_registry_size():
 
 def clear_sessions():
     with _SESSIONS_LOCK:
+        sessions = list(_SESSIONS.values())
         _SESSIONS.clear()
+    for session in sessions:
+        session.close()
 
 
 def run_task_document(spec, document, budgets=None):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.api import (
-    Attempt,
     Budget,
     ExhaustiveBackend,
     LoopBackend,
@@ -119,46 +118,20 @@ class TestDispatch:
         symbolic = [o for o in result.outcomes if o.backend == "symbolic"][0]
         assert "outside symbolic fragment" in symbolic.reason
 
-    def test_legacy_attempt_fields_read_back_verbatim(self):
-        """A legacy-constructed Attempt must not reinterpret its args:
-        the counterexample text, proof and assumptions read back exactly
-        even where the algebra has no slot for them."""
-        text = "counterexample:\n  initial set S:\n    ..."
-        with pytest.warns(DeprecationWarning):
-            attempt = Attempt(
-                "legacy",
-                False,
-                "m",
-                counterexample=text,
-                assumptions=("x |= y",),
-            )
-        assert attempt.counterexample == text
-        assert attempt.assumptions == ("x |= y",)
-        assert isinstance(attempt.outcome, Refuted)
-        assert text in attempt.outcome.note  # nothing lost at outcome level
-
-    def test_legacy_attempt_returning_backend_still_works(self, security_session):
-        """Third-party backends may still return deprecated Attempts."""
-
-        class LegacyBackend:
-            name = "legacy"
+    def test_backend_must_return_an_outcome(self, security_session):
+        class BareVerdictBackend:
+            name = "bare"
 
             def supports(self, task):
                 return True
 
             def attempt(self, task, session, budget=None):
-                return Attempt(self.name, True, "legacy-method")
+                return True
 
-        with pytest.warns(DeprecationWarning, match="Attempt is deprecated"):
-            result = security_session.verify(
-                "true", "skip", "true", backends=[LegacyBackend()]
+        with pytest.raises(TypeError, match="must return an Outcome"):
+            security_session.verify(
+                "true", "skip", "true", backends=[BareVerdictBackend()]
             )
-        assert result.verified
-        assert isinstance(result.outcome, Proved)
-        assert result.method == "legacy-method"
-        # and the deprecated view over the outcomes still reads the same
-        view = result.attempts[0]
-        assert view.verdict is True and view.backend == "legacy"
 
 
 class TestLoopBackend:

@@ -1,47 +1,32 @@
-"""The deprecated ``Verifier`` facade must behave exactly as before.
+"""The push-button contract ``Session`` kept from the old facade.
 
-These tests pin the legacy public contract the shim preserves:
-``verify``/``disprove``/``entails``, the ``VerificationResult`` fields,
-the EntailmentError → counterexample path, and the capped-oracle method
-strings.
+One fresh session per triple, read through ``TaskResult``: the exact
+method strings, the EntailmentError → counterexample path, the
+capped-oracle and brute-fallback method strings, and
+``disprove``/``entails`` on the session's cached oracle.
 """
 
-import warnings
-
-import pytest
-
-from repro import VerificationResult, Verifier
+from repro import Session
 from repro.assertions.sugar import low
 
 
-def make_verifier(*args, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return Verifier(*args, **kwargs)
-
-
 class TestShimCompatibility:
-    def test_construction_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning):
-            Verifier(["x"], 0, 1)
-
     def test_gni_verified_via_syntactic_wp(self):
-        v = make_verifier(["h", "l", "y"], 0, 1)
+        v = Session(["h", "l", "y"], 0, 1)
         result = v.verify(
             "forall <a>, <b>. a(l) == b(l)",
             "y := nonDet(); l := h xor y",
             "forall <a>, <b>. exists <c>. c(h) == a(h) && c(l) == b(l)",
         )
-        assert isinstance(result, VerificationResult)
         assert result.verified
         assert result.proof is not None
         assert result.method == "syntactic-wp+sat"
         assert result.counterexample is None
 
     def test_entailment_error_path_yields_counterexample(self):
-        # The closing wp entailment fails → the shim must return a
+        # The closing wp entailment fails → the session must return a
         # refutation with an explained semantic counterexample.
-        v = make_verifier(["h", "l"], 0, 1)
+        v = Session(["h", "l"], 0, 1)
         result = v.verify("true", "l := h", "forall <a>, <b>. a(l) == b(l)")
         assert not result.verified
         assert not result  # __bool__ protocol
@@ -52,7 +37,7 @@ class TestShimCompatibility:
     def test_loop_falls_back_to_oracle_method(self):
         # the alternating post keeps the symbolic stage out (it records
         # a fragment reason), so the closing oracle's method surfaces
-        v = make_verifier(["x"], 0, 2)
+        v = Session(["x"], 0, 2)
         result = v.verify(
             "exists <a>. true",
             "while (x > 0) { x := x - 1 }",
@@ -63,7 +48,7 @@ class TestShimCompatibility:
         assert result.proof is None
 
     def test_loop_decided_symbolically_reports_sat_validity(self):
-        v = make_verifier(["x"], 0, 2)
+        v = Session(["x"], 0, 2)
         result = v.verify(
             "exists <a>. true",
             "while (x > 0) { x := x - 1 }",
@@ -74,7 +59,7 @@ class TestShimCompatibility:
         assert result.proof is None
 
     def test_capped_oracle_method_string(self):
-        v = make_verifier(["x"], 0, 2, max_set_size=2)
+        v = Session(["x"], 0, 2, max_set_size=2)
         result = v.verify(
             "exists <a>. true",
             "while (x > 0) { x := x - 1 }",
@@ -84,45 +69,40 @@ class TestShimCompatibility:
         assert result.method == "oracle(≤2)"
 
     def test_assertion_and_command_objects_accepted(self):
-        v = make_verifier(["x"], 0, 1)
+        v = Session(["x"], 0, 1)
         command = v.parse_program("x := 1 - x")
         assert v.verify(low("x"), command, low("x"))
 
     def test_disprove_both_directions(self):
-        v = make_verifier(["x"], 0, 1)
+        v = Session(["x"], 0, 1)
         disproof = v.disprove("true", "x := nonDet()", "forall <a>. a(x) == 0")
         assert disproof is not None
         assert len(disproof.witness) > 0
         assert v.disprove("true", "x := 0", "forall <a>. a(x) == 0") is None
 
     def test_entails_delegates_to_cached_oracle(self):
-        v = make_verifier(["x", "y"], 0, 1)
+        v = Session(["x", "y"], 0, 1)
         assert v.entails("forall <a>. a(x) == 0", "forall <a>, <b>. a(x) == b(x)")
         assert not v.entails("exists <a>. true", "forall <a>. a(x) == 0")
         # Second identical query is a cache hit on the session oracle.
-        before = v.session.cache_info()["entailment_hits"]
+        before = v.cache_info()["entailment_hits"]
         v.entails("forall <a>. a(x) == 0", "forall <a>, <b>. a(x) == b(x)")
-        assert v.session.cache_info()["entailment_hits"] == before + 1
+        assert v.cache_info()["entailment_hits"] == before + 1
 
     def test_brute_fallback_is_surfaced_in_method(self):
         # A semantic precondition is outside the SAT fragment: the oracle
-        # must fall back to brute force AND report it (the old facade
-        # claimed "sat" regardless — the silent-fallback bug).
+        # must fall back to brute force AND report it, never claiming
+        # "sat" for a query it could not ground.
         from repro.assertions.semantic import SemAssertion
 
-        v = make_verifier(["x"], 0, 1)
+        v = Session(["x"], 0, 1)
         pre = SemAssertion(lambda states: True, label="⊤(semantic)")
         result = v.verify(pre, "x := 0", "forall <a>. a(x) == 0")
         assert result.verified
         assert "brute" in result.method
 
     def test_universe_and_oracle_attributes_preserved(self):
-        v = make_verifier(["h", "l"], 0, 1, entailment="brute")
+        v = Session(["h", "l"], 0, 1, entailment="brute")
         assert v.universe.size() == 4
         assert v.oracle.method == "brute"
         assert v.max_set_size is None
-
-    def test_verification_result_fields(self):
-        result = VerificationResult(True, "m")
-        assert result.proof is None and result.counterexample is None
-        assert bool(result)

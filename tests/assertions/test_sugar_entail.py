@@ -115,6 +115,19 @@ class TestEntailment:
         with pytest.raises(EntailmentError):
             oracle.require(not_emp_s, low("l"), "test")
 
+    def test_require_error_names_both_assertions(self):
+        from repro.assertions.parser import parse_assertion
+        from repro.assertions.printer import pretty_assertion
+
+        pre = parse_assertion("exists <a>. true")
+        post = parse_assertion("forall <a>, <b>. a(l) == b(l)")
+        oracle = EntailmentOracle(ALL, D, method="sat")
+        with pytest.raises(EntailmentError) as info:
+            oracle.require(pre, post, "test")
+        message = str(info.value)
+        assert pretty_assertion(pre) in message
+        assert pretty_assertion(post) in message
+
     def test_oracle_entails_bool(self):
         oracle = EntailmentOracle(ALL, D)
         assert oracle.entails(emp_s, low("l"))

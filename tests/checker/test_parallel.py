@@ -18,7 +18,9 @@ Two layers under test, both with exact-equality obligations:
   fresh per-query solves while retaining state across queries.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -217,6 +219,21 @@ class TestSessionPlumbing:
                 assert mine.outcome.witness == theirs.outcome.witness
         finally:
             parallel.close()
+
+    def test_closed_scanner_is_collectable(self):
+        """``close()`` drops the exit hook that would otherwise pin the
+        scanner, its engine and its session until interpreter exit.  The
+        pool is built but never handed work, so no worker process starts."""
+        session = Session(["x", "y"], lo=0, hi=1, intra_task_workers=2)
+        scanner = session.engine._parallel_scanner()
+        scanner._ensure_pool()
+        scanner_ref = weakref.ref(scanner)
+        session_ref = weakref.ref(session)
+        session.close()
+        del scanner, session
+        gc.collect()
+        assert scanner_ref() is None
+        assert session_ref() is None
 
     def test_spec_round_trips_intra_task_workers(self):
         session = Session(["x", "y"], lo=0, hi=1, intra_task_workers=3)

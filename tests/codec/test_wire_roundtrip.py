@@ -190,3 +190,53 @@ class TestWireContract:
         by_note = Undecided("exhaustive", "oracle", note="budget exhausted")
         assert by_reason == by_note
         assert roundtrip(by_reason).note == "budget exhausted"
+
+
+#: Run in a fresh interpreter: the codec registry fills on first use, so
+#: only a process that has not encoded anything yet can race on it.
+_FIRST_USE_RACE = """
+import threading
+from repro.api.task import VerificationTask
+from repro.assertions.parser import parse_assertion
+from repro.codec import to_wire
+from repro.lang.parser import parse_command
+
+task = VerificationTask(
+    parse_assertion("true"), parse_command("skip"), parse_assertion("true")
+)
+barrier = threading.Barrier(4)
+errors = []
+
+def work():
+    barrier.wait()
+    try:
+        to_wire(task)
+    except Exception as error:
+        errors.append(error)
+
+threads = [threading.Thread(target=work) for _ in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+print(len(errors))
+"""
+
+
+class TestRegistryFirstUse:
+    def test_concurrent_first_encodes_all_succeed(self):
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+            "src",
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _FIRST_USE_RACE],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "0"

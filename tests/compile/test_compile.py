@@ -40,7 +40,13 @@ from repro.assertions import (
     subset_of,
     superset_of,
 )
-from repro.checker import CheckerEngine, ImageCache, Universe
+from repro.checker import (
+    CheckerEngine,
+    ImageCache,
+    Universe,
+    candidate_initial_sets,
+    naive_check_triple,
+)
 from repro.compile import (
     CompileCache,
     compile_assertion,
@@ -52,6 +58,7 @@ from repro.errors import EvaluationError
 from repro.lang import parse_command
 from repro.lang.expr import V
 from repro.semantics.bigstep import post_states, post_states_interpreted
+from repro.semantics.extended import sem as extended_sem
 from repro.util import iter_subsets
 from repro.values import IntRange
 
@@ -325,9 +332,26 @@ class TestCompileCache:
 # ---------------------------------------------------------------------------
 
 
+def reference_scan(pre, command, post, uni):
+    """The scan sequence the naive reference walks: every candidate set,
+    ``holds`` per set, ``sem`` re-run under the interpreted executor."""
+    domain = uni.domain
+    out = []
+    for subset in candidate_initial_sets(pre, uni):
+        if not pre.holds(subset, domain):
+            out.append((subset, None, True))
+            continue
+        post_set = extended_sem(
+            command, subset, domain, executor=post_states_interpreted
+        )
+        out.append((subset, post_set, bool(post.holds(post_set, domain))))
+    return out
+
+
 class TestEnumerationOrderRegression:
     """Compilation must not change what the engine enumerates, in what
-    order, or which witness it reports (ISSUE 5 satellite)."""
+    order, or which witness it reports: the engine is held to the
+    interpreted naive reference."""
 
     TRIPLES = [
         (TRUE_H, "x := nonDet()", low("x")),
@@ -342,11 +366,15 @@ class TestEnumerationOrderRegression:
         pre, source, post = self.TRIPLES[index]
         command = parse_command(source)
         uni = xy_universe()
-        compiled = CheckerEngine(uni, ImageCache(), compiled=True)
-        interpreted = CheckerEngine(uni, ImageCache(), compiled=False)
-        seq_compiled = list(compiled.scan(pre, command, post))
-        seq_interpreted = list(interpreted.scan(pre, command, post))
-        assert seq_compiled == seq_interpreted
+        engine = CheckerEngine(uni, ImageCache())
+        states_of = uni.states_of
+        seq_engine = [
+            (states_of(chosen), None if acc is None else states_of(acc), ok)
+            for chosen, acc, ok in engine.scan_masks(
+                pre, command, post, prefilter=False
+            )
+        ]
+        assert seq_engine == reference_scan(pre, command, post, uni)
 
     @pytest.mark.parametrize("index", range(len(TRIPLES)))
     def test_find_counterexample_unchanged(self, index):
@@ -355,15 +383,13 @@ class TestEnumerationOrderRegression:
         pre, source, post = self.TRIPLES[index]
         command = parse_command(source)
         uni = xy_universe()
-        compiled = CheckerEngine(uni, ImageCache(), compiled=True)
-        interpreted = CheckerEngine(uni, ImageCache(), compiled=False)
-        found_compiled = find_counterexample(
-            pre, command, post, uni, engine=compiled
+        found = find_counterexample(
+            pre, command, post, uni, engine=CheckerEngine(uni, ImageCache())
         )
-        found_interpreted = find_counterexample(
-            pre, command, post, uni, engine=interpreted
+        naive = naive_check_triple(pre, command, post, uni)
+        assert found == (
+            None if naive.valid else (naive.witness_pre, naive.witness_post)
         )
-        assert found_compiled == found_interpreted
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -373,18 +399,16 @@ class TestEnumerationOrderRegression:
     )
     def test_checked_sets_and_witness_match(self, command, pre, post):
         uni = xy_universe()
-        compiled = CheckerEngine(uni, ImageCache(), compiled=True)
-        interpreted = CheckerEngine(uni, ImageCache(), compiled=False)
-        rc = compiled.check(pre, command, post, max_size=2)
-        ri = interpreted.check(pre, command, post, max_size=2)
+        engine = CheckerEngine(uni, ImageCache())
+        rc = engine.check(pre, command, post, max_size=2, prefilter=False)
+        rn = naive_check_triple(pre, command, post, uni, max_size=2)
         assert (rc.valid, rc.witness_pre, rc.witness_post, rc.checked_sets) == (
-            ri.valid, ri.witness_pre, ri.witness_post, ri.checked_sets
+            rn.valid, rn.witness_pre, rn.witness_post, rn.checked_sets
         )
 
     def test_engine_repr_names_mode(self):
         uni = xy_universe()
         assert "compiled" in repr(CheckerEngine(uni))
-        assert "interpreted" in repr(CheckerEngine(uni, compiled=False))
 
 
 # ---------------------------------------------------------------------------

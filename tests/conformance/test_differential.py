@@ -1,5 +1,7 @@
 """Differential conformance: cross-backend agreement + the shrinker."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +103,24 @@ class TestHarnessReporting:
         assert reproducer.command == Havoc("x")
         assert reproducer.pre == SBool(True)
         assert reproducer.post == SBool(True)
+
+
+class TestEngineVsNaive:
+    def test_checked_sets_drift_is_a_disagreement(self, monkeypatch):
+        checker = DifferentialChecker(FUZZ_CONFIG, embeddings=False)
+        triple = regenerate(0, 0, FUZZ_CONFIG).triple
+        assert checker.oracle_disagreement(triple) is None
+        engine = checker.session.engine
+        real_check = engine.check
+
+        def drifted_check(*args, **kwargs):
+            result = real_check(*args, **kwargs)
+            return dataclasses.replace(result, checked_sets=result.checked_sets + 1)
+
+        # verdict and witness stay right; only the enumeration count drifts
+        monkeypatch.setattr(engine, "check", drifted_check)
+        detail = checker.oracle_disagreement(triple)
+        assert detail is not None and "checked" in detail
 
 
 class TestShrinker:

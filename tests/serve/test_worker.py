@@ -90,6 +90,18 @@ class TestSessionRegistry:
         session_for(self.spec("one-more"))  # evicts v0, not keep
         assert session_for(self.spec("keep")) is keep
 
+    def test_eviction_and_clear_close_sessions(self, monkeypatch):
+        from repro.api.session import Session
+
+        closed = []
+        monkeypatch.setattr(Session, "close", lambda self: closed.append(self))
+        first = session_for(self.spec("v0"))
+        for i in range(1, MAX_SESSIONS + 1):
+            session_for(self.spec("v%d" % i))
+        assert closed == [first]  # the least recently used one
+        clear_sessions()
+        assert len(closed) == 1 + MAX_SESSIONS
+
 
 class TestRunTaskDocument:
     def test_round_trip_matches_inline_run(self):

@@ -1,9 +1,9 @@
-"""The verification facade and the hyper-assertion concrete syntax."""
+"""The Session verification surface and the hyper-assertion concrete syntax."""
 
 import pytest
 from hypothesis import given, settings
 
-from repro import Verifier
+from repro import Session
 from repro.assertions import (
     format_assertion,
     low,
@@ -101,7 +101,7 @@ class TestAssertionParser:
 
 class TestVerifier:
     def test_verify_gni(self):
-        v = Verifier(["h", "l", "y"], 0, 1)
+        v = Session(["h", "l", "y"], 0, 1)
         result = v.verify(
             "forall <a>, <b>. a(l) == b(l)",
             "y := nonDet(); l := h xor y",
@@ -112,19 +112,20 @@ class TestVerifier:
         assert "sat" in result.method
 
     def test_verify_leak_fails_with_counterexample(self):
-        v = Verifier(["h", "l"], 0, 1)
+        v = Session(["h", "l"], 0, 1)
         result = v.verify("true", "l := h", "forall <a>, <b>. a(l) == b(l)")
         assert not result.verified
         assert result.counterexample is not None
         assert "initial set" in result.counterexample
+        assert "sem(C, S)" in result.counterexample
 
     def test_bool_protocol(self):
-        v = Verifier(["x"], 0, 1)
+        v = Session(["x"], 0, 1)
         assert v.verify("true", "x := 0", "forall <a>. a(x) == 0")
         assert not v.verify("true", "x := nonDet()", "forall <a>. a(x) == 0")
 
     def test_loop_without_invariant_is_decided_symbolically(self):
-        v = Verifier(["x"], 0, 2)
+        v = Session(["x"], 0, 2)
         result = v.verify(
             "exists <a>. true",
             "while (x > 0) { x := x - 1 }",
@@ -136,7 +137,7 @@ class TestVerifier:
     def test_loop_falls_back_to_oracle(self):
         # an alternating-quantifier post is outside the symbolic
         # fragment, so this one still reaches the enumerating oracle
-        v = Verifier(["x"], 0, 2)
+        v = Session(["x"], 0, 2)
         result = v.verify(
             "exists <a>. true",
             "while (x > 0) { x := x - 1 }",
@@ -146,22 +147,22 @@ class TestVerifier:
         assert result.method.startswith("oracle")
 
     def test_assertion_objects_accepted(self):
-        v = Verifier(["x"], 0, 1)
+        v = Session(["x"], 0, 1)
         assert v.verify(low("x"), "x := 1 - x", low("x"))
 
     def test_disprove(self):
-        v = Verifier(["x"], 0, 1)
+        v = Session(["x"], 0, 1)
         disproof = v.disprove("true", "x := nonDet()", "forall <a>. a(x) == 0")
         assert disproof is not None
         assert v.disprove("true", "x := 0", "forall <a>. a(x) == 0") is None
 
     def test_entails(self):
-        v = Verifier(["x", "y"], 0, 1)
+        v = Session(["x", "y"], 0, 1)
         assert v.entails("forall <a>. a(x) == 0", "forall <a>, <b>. a(x) == b(x)")
         assert not v.entails("exists <a>. true", "forall <a>. a(x) == 0")
 
     def test_underapproximate_claim(self):
-        v = Verifier(["x"], 0, 3)
+        v = Session(["x"], 0, 3)
         result = v.verify(
             "exists <a>. true",
             "x := randInt(0, 3)",

@@ -79,7 +79,7 @@ def test_batch_session_beats_standalone_sessions(benchmark):
     # Verdicts agree everywhere.
     assert [r.verified for r in cold_report] == [r.verified for r in standalone]
     # The repeated specs must actually hit the entailment cache...
-    assert cold_report.entailment_cache_hits > 0
+    assert cold_report.counters["entailment_hits"] > 0
     # ...and the shared-cache batch must beat N fresh sessions outright.
     assert cold_elapsed < standalone_elapsed
 
@@ -94,14 +94,15 @@ def test_warm_session_beats_cold(benchmark):
 
     common.banner("E-API: warm vs. cold Session (entailment memoization)")
     print("cold batch: %.4fs (%d cache misses)"
-          % (cold.elapsed, cold.entailment_cache_misses))
+          % (cold.elapsed, cold.counters["entailment_misses"]))
     print("warm batch: %.4fs (%d hits, %d misses)"
-          % (warm.elapsed, warm.entailment_cache_hits, warm.entailment_cache_misses))
+          % (warm.elapsed, warm.counters["entailment_hits"],
+             warm.counters["entailment_misses"]))
     info = session.cache_info()
     print("session caches: %r" % (info,))
 
     assert [r.verdict for r in warm] == [r.verdict for r in cold]
     # A warm session re-verifies without a single new entailment run.
-    assert warm.entailment_cache_misses == 0
-    assert warm.entailment_cache_hits > 0
+    assert warm.counters["entailment_misses"] == 0
+    assert warm.counters["entailment_hits"] > 0
     assert warm.elapsed <= cold.elapsed * 1.5  # generous: both are fast

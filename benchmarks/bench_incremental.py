@@ -97,16 +97,17 @@ def bench(count, min_speedup):
         r.method for r in inc_r
     ] == [r.method for r in cold_r]
     assert same, "incremental reverify diverged from the cold run"
-    assert inc_r.fingerprint_hits == count - 1, (
+    assert inc_r.counters["fingerprint_hits"] == count - 1, (
         "expected %d fingerprint hits for a single-task edit, got %d"
-        % (count - 1, inc_r.fingerprint_hits)
+        % (count - 1, inc_r.counters["fingerprint_hits"])
     )
-    assert inc_r.cone_invalidations > 0, (
+    assert inc_r.counters["cone_invalidations"] > 0, (
         "the declared edit invalidated no artifacts"
     )
     print("cross-validation: verdicts+methods identical, %d/%d outcomes "
           "reused, %d artifacts invalidated: OK"
-          % (inc_r.fingerprint_hits, count, inc_r.cone_invalidations))
+          % (inc_r.counters["fingerprint_hits"], count,
+             inc_r.counters["cone_invalidations"]))
 
     speedup = cold_t / inc_t if inc_t else float("inf")
     print()

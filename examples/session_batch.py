@@ -50,6 +50,11 @@ def main():
     print(warm.summary())
     print()
 
+    # Report.counters is the batch's delta of Session.counters(): the
+    # warm batch answers every entailment from the memo
+    print("warm batch counters:",
+          {name: count for name, count in warm.counters.items() if count})
+    assert warm.counters["entailment_misses"] == 0
     print("session caches:", session.cache_info())
     print()
 

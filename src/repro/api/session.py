@@ -21,9 +21,10 @@ run or a powerset enumeration.
 """
 
 import threading
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 from . import task as _task_mod
 
@@ -220,59 +221,23 @@ class TaskResult(WireCodec):
 class Report(WireCodec):
     """Aggregate outcome of :meth:`Session.verify_many`.
 
-    The ``image_cache_*`` fields are the per-batch deltas of the
-    session's :class:`~repro.checker.engine.ImageCache` counters
-    (``evictions`` stays 0 unless the session bounds the cache with
-    ``max_image_entries``); ``image_mask_*`` are the same deltas for the
-    cache's bitset *mask tier* — the per-universe id-bitmask images the
-    engine enumerates with (a mask hit never touches the
-    frozenset tier, a mask miss computes through it); process-sharded
-    batches aggregate the workers' private caches.  ``entailment_sat_decisions`` /
-    ``entailment_brute_decisions`` are likewise per-batch deltas of the
-    oracle's per-method counters (:meth:`EntailmentOracle.method_counts`)
-    — how many entailment queries the SAT encoding actually decided
-    versus how many fell back to brute-force enumeration.  Per-backend
-    decision counts are derived from the results themselves
-    (:meth:`decided_by_backend`), so they need no extra wire fields and
-    aggregate correctly across process shards.
-
-    The ``parallel_*`` counters come from the intra-task partitioned
-    scan (:mod:`repro.checker.parallel`, enabled with
-    ``Session(intra_task_workers=N)``): ``parallel_blocks`` is the
-    number of mask-index blocks shipped to the process pool during the
-    batch, ``blocks_cancelled`` how many were revoked or cut short by a
-    lower-index refutation (wasted work avoided), and
-    ``parallel_scan_states`` the candidates actually scanned in workers.
-    All zero when intra-task parallelism is off or no scan was eligible.
-
-    The incremental counters (``fingerprint_*`` / ``cone_*`` /
-    ``artifacts_reused``) come from the :mod:`repro.deps` subsystem:
-    ``fingerprint_hits`` counts whole stored task outcomes reused by
-    structural fingerprint in :meth:`Session.reverify`;
-    ``cone_invalidations`` counts cached artifacts dropped because a
-    declared edit's dependency cone touched them; ``artifacts_reused``
-    counts the underlying per-subtree artifacts (compiled closures,
-    image-table rows, entailment verdicts) that were cache hits during
-    the batch — the subtree-level reuse an edited task still enjoys.
+    ``counters`` is the per-batch delta of :meth:`Session.counters`:
+    entailment-memo, image-cache (and its bitset mask tier) and
+    compile-cache hits, misses and evictions, the entailment queries
+    each method decided (``entailment_sat`` / ``entailment_brute``),
+    the intra-task partitioned scan's ``parallel_*`` work
+    (:mod:`repro.checker.parallel`), and the incremental subsystem's
+    ``fingerprint_hits`` (whole outcomes :meth:`Session.reverify`
+    reused) and ``cone_invalidations`` (artifacts a declared edit
+    dropped).  Process-sharded batches sum their workers' deltas.  The
+    map is open: a new counter is one more key, not a new field.
+    Per-backend decision counts are derived from the results themselves
+    (:meth:`decided_by_backend`).
     """
 
     results: Tuple[TaskResult, ...]
     elapsed: float = 0.0
-    entailment_cache_hits: int = 0
-    entailment_cache_misses: int = 0
-    image_cache_hits: int = 0
-    image_cache_misses: int = 0
-    image_cache_evictions: int = 0
-    entailment_sat_decisions: int = 0
-    entailment_brute_decisions: int = 0
-    image_mask_hits: int = 0
-    image_mask_misses: int = 0
-    fingerprint_hits: int = 0
-    cone_invalidations: int = 0
-    artifacts_reused: int = 0
-    parallel_blocks: int = 0
-    blocks_cancelled: int = 0
-    parallel_scan_states: int = 0
+    counters: Dict[str, int] = field(default_factory=dict)
 
     def __iter__(self):
         return iter(self.results)
@@ -323,42 +288,31 @@ class Report(WireCodec):
             "%s: %d" % (name, count)
             for name, count in sorted(self.decided_by_backend().items())
         )
+        c = defaultdict(int, self.counters)
+        c.update(
+            verified=len(self.verified),
+            refuted=len(self.refuted),
+            undecided=len(self.undecided),
+            elapsed=self.elapsed,
+            decided=decided or "nothing",
+            # subtree-level reuse: compiled closures, image rows and
+            # entailment verdicts served from cache (the mask tier
+            # shadows the image tier, so it is not double-counted)
+            artifacts_reused=c["entailment_hits"] + c["image_hits"] + c["compile_hits"],
+        )
         lines = [
-            "report: %d verified, %d refuted, %d undecided in %.3fs "
-            "(entailment cache: %d hits, %d misses; image cache: %d hits, "
-            "%d misses, %d evictions; mask tier: %d hits, %d misses)"
-            % (
-                len(self.verified),
-                len(self.refuted),
-                len(self.undecided),
-                self.elapsed,
-                self.entailment_cache_hits,
-                self.entailment_cache_misses,
-                self.image_cache_hits,
-                self.image_cache_misses,
-                self.image_cache_evictions,
-                self.image_mask_hits,
-                self.image_mask_misses,
-            ),
-            "  decided by: %s; entailments: %d sat, %d brute"
-            % (
-                decided or "nothing",
-                self.entailment_sat_decisions,
-                self.entailment_brute_decisions,
-            ),
-            "  incremental: %d fingerprint hits, %d cone invalidations, "
-            "%d artifacts reused"
-            % (
-                self.fingerprint_hits,
-                self.cone_invalidations,
-                self.artifacts_reused,
-            ),
-            "  parallel: %d blocks, %d cancelled, %d states scanned"
-            % (
-                self.parallel_blocks,
-                self.blocks_cancelled,
-                self.parallel_scan_states,
-            ),
+            "report: %(verified)d verified, %(refuted)d refuted, %(undecided)d "
+            "undecided in %(elapsed).3fs (entailment cache: %(entailment_hits)d "
+            "hits, %(entailment_misses)d misses; image cache: %(image_hits)d "
+            "hits, %(image_misses)d misses, %(image_evictions)d evictions; "
+            "mask tier: %(image_mask_hits)d hits, %(image_mask_misses)d misses)" % c,
+            "  decided by: %(decided)s; entailments: %(entailment_sat)d sat, "
+            "%(entailment_brute)d brute" % c,
+            "  incremental: %(fingerprint_hits)d fingerprint hits, "
+            "%(cone_invalidations)d cone invalidations, %(artifacts_reused)d "
+            "artifacts reused" % c,
+            "  parallel: %(parallel_blocks)d blocks, %(parallel_cancelled)d "
+            "cancelled, %(parallel_scan_states)d states scanned" % c,
         ]
         for index, result in enumerate(self.results):
             verdict = {True: "verified", False: "refuted", None: "undecided"}[
@@ -370,6 +324,12 @@ class Report(WireCodec):
                 % (label, verdict, result.method, result.elapsed)
             )
         return "\n".join(lines)
+
+
+def counter_delta(before, after):
+    """``after - before``, key by key, for two :meth:`Session.counters`
+    snapshots."""
+    return {name: after[name] - before[name] for name in after}
 
 
 def default_backends(max_set_size=None):
@@ -508,9 +468,10 @@ class Session:
     def close(self):
         """Release worker processes held by intra-task parallelism.
 
-        Idempotent and optional — pools also shut down at interpreter
-        exit, and a closed session transparently restarts its pool on
-        the next eligible parallel scan.  Serial sessions are no-ops.
+        Idempotent and optional — pools also shut down when the session
+        is garbage-collected or at interpreter exit, and a closed
+        session transparently restarts its pool on the next eligible
+        parallel scan.  Serial sessions are no-ops.
         """
         self.engine.close()
 
@@ -639,32 +600,23 @@ class Session:
         return self._run_batch(normalized, max_workers, backends, budgets)
 
     def _run_batch(
-        self,
-        normalized,
-        max_workers=None,
-        backends=None,
-        budgets=None,
-        fingerprint_hits=0,
-        cone_invalidations=0,
-        reused=(),
+        self, normalized, max_workers=None, backends=None, budgets=None,
+        reused=(), before=None,
     ):
         """Run the non-reused tasks of a normalized batch → :class:`Report`.
 
         ``reused`` maps input index → ledger'd :class:`TaskResult` for
         tasks :meth:`reverify` already settled by fingerprint; everything
-        else runs through the chain.  The cache-counter deltas bracket
-        only the fresh work, so ``artifacts_reused`` measures the
-        subtree-level reuse the re-run tasks actually enjoyed.
+        else runs through the chain.  ``before`` is the
+        :meth:`counters` snapshot the report's deltas start from
+        (default: taken here, just before the fresh work).
         """
+        if before is None:
+            before = self.counters()
         reused = dict(reused)
         pending = [
             (i, t) for i, t in enumerate(normalized) if i not in reused
         ]
-        info = self.oracle.cache_info()
-        images = self.images.stats()
-        compiles = self.compiles.stats()
-        methods = self.oracle.method_counts()
-        par = self.engine.parallel_stats()
         started = _task_mod.clock()
         if max_workers is not None and max_workers > 1:
             with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -679,39 +631,10 @@ class Session:
         results = dict(reused)
         for (index, _), result in zip(pending, fresh):
             results[index] = result
-        after = self.oracle.cache_info()
-        images_after = self.images.stats()
-        compiles_after = self.compiles.stats()
-        methods_after = self.oracle.method_counts()
-        par_after = self.engine.parallel_stats()
-        # subtree-level reuse: compiled closures, image rows and
-        # entailment verdicts served from cache during this batch (the
-        # mask tier shadows the image tier, so it is not double-counted)
-        artifacts_reused = (
-            (after["hits"] - info["hits"])
-            + (images_after["hits"] - images["hits"])
-            + (compiles_after["hits"] - compiles["hits"])
-        )
         return Report(
             tuple(results[i] for i in range(len(normalized))),
             elapsed=elapsed,
-            entailment_cache_hits=after["hits"] - info["hits"],
-            entailment_cache_misses=after["misses"] - info["misses"],
-            image_cache_hits=images_after["hits"] - images["hits"],
-            image_cache_misses=images_after["misses"] - images["misses"],
-            image_cache_evictions=images_after["evictions"] - images["evictions"],
-            image_mask_hits=images_after["mask_hits"] - images["mask_hits"],
-            image_mask_misses=images_after["mask_misses"] - images["mask_misses"],
-            entailment_sat_decisions=methods_after.get("sat", 0)
-            - methods.get("sat", 0),
-            entailment_brute_decisions=methods_after.get("brute", 0)
-            - methods.get("brute", 0),
-            fingerprint_hits=fingerprint_hits,
-            cone_invalidations=cone_invalidations,
-            artifacts_reused=artifacts_reused,
-            parallel_blocks=par_after["blocks"] - par["blocks"],
-            blocks_cancelled=par_after["cancelled"] - par["cancelled"],
-            parallel_scan_states=par_after["scan_states"] - par["scan_states"],
+            counters=counter_delta(before, self.counters()),
         )
 
     # -- incremental re-verification ---------------------------------------
@@ -813,15 +736,17 @@ class Session:
         subtrees (pre-edit nodes or fingerprints); their dependency cone
         is dropped first via :meth:`invalidate`, which keeps long-lived
         sessions from accumulating dead artifacts.  The returned
-        :class:`Report` carries ``fingerprint_hits`` (whole outcomes
-        reused), ``cone_invalidations`` (artifacts dropped) and
-        ``artifacts_reused`` (subtree-level cache hits during the
-        re-run).  Verdicts are always identical to a cold
+        :class:`Report`'s counters include ``fingerprint_hits`` (whole
+        outcomes reused) and ``cone_invalidations`` (artifacts dropped);
+        its cache hit counts measure the subtree-level reuse of the
+        re-run.  Verdicts are always identical to a cold
         :meth:`verify_many` — fingerprints are content addresses, so a
         reused outcome is the outcome the cold run would recompute.
         """
         normalized = [self.task(t) for t in tasks]
-        cone = self.invalidate(changed) if changed else 0
+        before = self.counters()
+        if changed:
+            self.invalidate(changed)
         reused = {}
         for index, task in enumerate(normalized):
             fp = self._ledger_fingerprint(task, backends, budgets)
@@ -832,13 +757,7 @@ class Session:
                 reused[index] = cached
         self._fingerprint_hits += len(reused)
         return self._run_batch(
-            normalized,
-            max_workers,
-            backends,
-            budgets,
-            fingerprint_hits=len(reused),
-            cone_invalidations=cone,
-            reused=reused,
+            normalized, max_workers, backends, budgets, reused, before
         )
 
     def reset(self):
@@ -879,29 +798,52 @@ class Session:
             self.parse_condition(weaker), self.parse_condition(stronger)
         )
 
-    def cache_info(self):
-        """Cache statistics for diagnostics and benchmarks."""
-        info = self.oracle.cache_info()
+    def counters(self):
+        """A flat ``{name: int}`` snapshot of every monotone counter.
+
+        :attr:`Report.counters` is the per-batch delta of this snapshot,
+        so a new counter is one more line here — no new report field,
+        no wire-schema bump.
+        """
+        entail = self.oracle.cache_info()
+        methods = self.oracle.method_counts()
         images = self.images.stats()
         compiles = self.compiles.stats()
+        par = self.engine.parallel_stats()
         return {
-            "entailment_hits": info["hits"],
-            "entailment_misses": info["misses"],
-            "entailment_size": info["size"],
+            "entailment_hits": entail["hits"],
+            "entailment_misses": entail["misses"],
+            "entailment_sat": methods.get("sat", 0),
+            "entailment_brute": methods.get("brute", 0),
             "image_hits": images["hits"],
             "image_misses": images["misses"],
-            "image_size": images["size"],
             "image_evictions": images["evictions"],
             "image_mask_hits": images["mask_hits"],
             "image_mask_misses": images["mask_misses"],
-            "image_mask_size": images["mask_size"],
+            "image_mask_evictions": images["mask_evictions"],
             "compile_hits": compiles["hits"],
             "compile_misses": compiles["misses"],
-            "compile_size": compiles["size"],
-            "compile_fallbacks": compiles["fallbacks"],
-            "programs": len(self._program_cache),
-            "assertions": len(self._assertion_cache),
+            "compile_fallbacks": sum(compiles["fallbacks"].values()),
+            "parallel_blocks": par["blocks"],
+            "parallel_cancelled": par["cancelled"],
+            "parallel_scan_states": par["scan_states"],
+            "fingerprint_hits": self._fingerprint_hits,
+            "cone_invalidations": self._cone_invalidations,
         }
+
+    def cache_info(self):
+        """:meth:`counters` plus the cache size gauges."""
+        info = self.counters()
+        images = self.images.stats()
+        info.update(
+            entailment_size=self.oracle.cache_info()["size"],
+            image_size=images["size"],
+            image_mask_size=images["mask_size"],
+            compile_size=len(self.compiles),
+            programs=len(self._program_cache),
+            assertions=len(self._assertion_cache),
+        )
+        return info
 
     def _run_task(self, task, backends=None, budgets=None):
         chain = self.backends if backends is None else tuple(backends)

@@ -143,50 +143,22 @@ def _run_chunk(chunk, budgets):
         return _run_chunk_inner(session, chunk, budgets)
     finally:
         # tear the nested intra-task pool down while this shard worker is
-        # still alive: leaving it to interpreter-exit atexit hooks
+        # still alive: leaving it to interpreter-exit finalizers
         # deadlocks the executor join (the engine rebuilds the pool
         # lazily if this worker picks up another chunk)
         session.engine.close()
 
 
 def _run_chunk_inner(session, chunk, budgets):
-    before = session.oracle.cache_info()
-    images_before = session.images.stats()
-    compiles_before = session.compiles.stats()
-    methods_before = session.oracle.method_counts()
-    par_before = session.engine.parallel_stats()
+    from .session import counter_delta
+
+    before = session.counters()
     out = []
     for index, document in chunk:
         task = from_wire(document)
         result = session._run_task(task, None, budgets)
         out.append((index, [to_wire(outcome) for outcome in result.outcomes]))
-    after = session.oracle.cache_info()
-    images_after = session.images.stats()
-    compiles_after = session.compiles.stats()
-    methods_after = session.oracle.method_counts()
-    par_after = session.engine.parallel_stats()
-    delta = (
-        after["hits"] - before["hits"],
-        after["misses"] - before["misses"],
-        images_after["hits"] - images_before["hits"],
-        images_after["misses"] - images_before["misses"],
-        images_after["evictions"] - images_before["evictions"],
-        methods_after.get("sat", 0) - methods_before.get("sat", 0),
-        methods_after.get("brute", 0) - methods_before.get("brute", 0),
-        images_after["mask_hits"] - images_before["mask_hits"],
-        images_after["mask_misses"] - images_before["mask_misses"],
-        # subtree-level reuse inside this worker: entailment + image +
-        # compile cache hits, mirroring the inline artifacts_reused
-        (after["hits"] - before["hits"])
-        + (images_after["hits"] - images_before["hits"])
-        + (compiles_after["hits"] - compiles_before["hits"]),
-        # intra-task parallelism inside this shard (zero unless the
-        # spec carries intra_task_workers)
-        par_after["blocks"] - par_before["blocks"],
-        par_after["cancelled"] - par_before["cancelled"],
-        par_after["scan_states"] - par_before["scan_states"],
-    )
-    return out, delta
+    return out, counter_delta(before, session.counters())
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +195,7 @@ def verify_many_sharded(session, tasks, shards=None, backends=None, budgets=None
     chunks = [encoded[k::shards] for k in range(shards)]
     started = _task_mod.clock()
     outcomes_by_index = {}
-    hits = misses = 0
-    image_hits = image_misses = image_evictions = 0
-    sat_decisions = brute_decisions = 0
-    mask_hits = mask_misses = 0
-    artifacts_reused = 0
-    parallel_blocks = blocks_cancelled = parallel_scan_states = 0
+    counters = {}
     with ProcessPoolExecutor(
         max_workers=shards, initializer=_init_worker, initargs=(spec,)
     ) as pool:
@@ -238,39 +205,12 @@ def verify_many_sharded(session, tasks, shards=None, backends=None, budgets=None
         ]
         for future in futures:
             rows, chunk_delta = future.result()
-            hits += chunk_delta[0]
-            misses += chunk_delta[1]
-            image_hits += chunk_delta[2]
-            image_misses += chunk_delta[3]
-            image_evictions += chunk_delta[4]
-            sat_decisions += chunk_delta[5]
-            brute_decisions += chunk_delta[6]
-            mask_hits += chunk_delta[7]
-            mask_misses += chunk_delta[8]
-            artifacts_reused += chunk_delta[9]
-            parallel_blocks += chunk_delta[10]
-            blocks_cancelled += chunk_delta[11]
-            parallel_scan_states += chunk_delta[12]
+            for name, amount in chunk_delta.items():
+                counters[name] = counters.get(name, 0) + amount
             for index, documents in rows:
                 outcomes_by_index[index] = tuple(from_wire(d) for d in documents)
     elapsed = _task_mod.clock() - started
     results = tuple(
         TaskResult(task, outcomes_by_index[i]) for i, task in enumerate(normalized)
     )
-    return Report(
-        results,
-        elapsed=elapsed,
-        entailment_cache_hits=hits,
-        entailment_cache_misses=misses,
-        image_cache_hits=image_hits,
-        image_cache_misses=image_misses,
-        image_cache_evictions=image_evictions,
-        entailment_sat_decisions=sat_decisions,
-        entailment_brute_decisions=brute_decisions,
-        image_mask_hits=mask_hits,
-        image_mask_misses=mask_misses,
-        artifacts_reused=artifacts_reused,
-        parallel_blocks=parallel_blocks,
-        blocks_cancelled=blocks_cancelled,
-        parallel_scan_states=parallel_scan_states,
-    )
+    return Report(results, elapsed=elapsed, counters=counters)

@@ -160,8 +160,8 @@ class EntailmentOracle:
         reflect *usage*, not recomputation.  Snapshot before and after a
         batch and subtract to attribute counts to it
         (:meth:`~repro.api.session.Session.verify_many` does exactly
-        that for :attr:`Report.entailment_sat_decisions` /
-        ``entailment_brute_decisions``).
+        that for the ``entailment_sat`` / ``entailment_brute`` keys of
+        :attr:`Report.counters`).
         """
         with self._counts_lock:
             return dict(self._counts)
@@ -230,7 +230,20 @@ class EntailmentOracle:
         return verdict
 
     def find_counterexample(self, pre, post):
-        """A witness set refuting ``pre |= post`` (or ``None``)."""
+        """A witness set refuting ``pre |= post`` (or ``None``).
+
+        A ``sat`` oracle decodes it from one SAT model
+        (:func:`~repro.solver.encode.entailment_model`); brute-force
+        enumeration is left to ``brute`` oracles and to operands the
+        SAT encoding cannot ground.
+        """
+        if self.method == "sat":
+            from ..solver.encode import Unsupported, entailment_model
+
+            try:
+                return entailment_model(pre, post, self.universe, self.domain)
+            except Unsupported:
+                pass
         return find_entailment_counterexample(
             pre, post, self.universe, self.domain, self.max_size, presorted=True,
             compile_cache=self.compile_cache,
@@ -244,18 +257,27 @@ class EntailmentOracle:
         )
 
     def require(self, pre, post, context=""):
-        """Raise :class:`EntailmentError` unless ``pre |= post``."""
+        """Raise :class:`EntailmentError` unless ``pre |= post``.
+
+        The error's text names a counterexample's size; the search for
+        it runs only when the text is read.
+        """
         if not self.entails(pre, post):
-            cex = self.find_counterexample(pre, post)
-            raise EntailmentError(
-                "entailment failed%s: %s |=/= %s (counterexample: %d-state set)"
-                % (
-                    " in " + context if context else "",
-                    pre.describe(),
-                    post.describe(),
-                    -1 if cex is None else len(cex),
+
+            def message():
+                cex = self.find_counterexample(pre, post)
+                return (
+                    "entailment failed%s: %s |=/= %s (counterexample: "
+                    "%d-state set)"
+                    % (
+                        " in " + context if context else "",
+                        pre.describe(),
+                        post.describe(),
+                        -1 if cex is None else len(cex),
+                    )
                 )
-            )
+
+            raise EntailmentError(message)
         return True
 
     def assume(self, pre, post, context=""):

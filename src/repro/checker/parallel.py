@@ -37,9 +37,9 @@ else silently falls back to the serial scan, whose semantics are the
 ground truth either way.
 """
 
-import atexit
 import multiprocessing
 import threading
+import weakref
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
@@ -119,6 +119,10 @@ def _scan_block(payload):
     return ("done", scanned)
 
 
+def _stop_pool(pool):
+    pool.shutdown(wait=False, cancel_futures=True)
+
+
 class ParallelScanner:
     """Partitions one engine's eligible scans across a process pool.
 
@@ -145,6 +149,7 @@ class ParallelScanner:
         self.scan_states = 0
         self._spec = self._session_spec()
         self._pool = None
+        self._finalizer = None
         self._cut = None
         self._lock = threading.Lock()
 
@@ -191,26 +196,27 @@ class ParallelScanner:
                 initializer=_pool_initializer,
                 initargs=(self._spec, self._cut),
             )
-            atexit.register(self.close)
+            # the finalizer holds only the pool: a dropped scanner (and
+            # the engine and session behind it) stays collectable, and
+            # collecting it — or interpreter exit — stops the workers
+            self._finalizer = weakref.finalize(self, _stop_pool, self._pool)
         return self._pool
 
     def close(self):
         """Shut down the pool (idempotent; rebuilt on next use).
 
         A partitioned scan running on another thread finishes first.
-        Closing also drops the exit hook, so a closed scanner — and the
-        engine and session behind it — can be garbage-collected.
         """
         with self._lock:
             self._shutdown()
 
     def _shutdown(self):
         """:meth:`close` with ``_lock`` already held."""
-        pool, self._pool = self._pool, None
+        finalizer, self._finalizer = self._finalizer, None
+        self._pool = None
         self._cut = None
-        if pool is not None:
-            atexit.unregister(self.close)
-            pool.shutdown(wait=False, cancel_futures=True)
+        if finalizer is not None:
+            finalizer()
 
     # -- the partitioned scan ----------------------------------------------
     def run(self, pre, command, post, max_size=None, max_states=100000,

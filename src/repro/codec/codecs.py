@@ -385,40 +385,12 @@ register(
     lambda r: {
         "results": [encode(x) for x in r.results],
         "elapsed": r.elapsed,
-        "entailment_cache_hits": r.entailment_cache_hits,
-        "entailment_cache_misses": r.entailment_cache_misses,
-        "image_cache_hits": r.image_cache_hits,
-        "image_cache_misses": r.image_cache_misses,
-        "image_cache_evictions": r.image_cache_evictions,
-        "entailment_sat_decisions": r.entailment_sat_decisions,
-        "entailment_brute_decisions": r.entailment_brute_decisions,
-        "image_mask_hits": r.image_mask_hits,
-        "image_mask_misses": r.image_mask_misses,
-        "fingerprint_hits": r.fingerprint_hits,
-        "cone_invalidations": r.cone_invalidations,
-        "artifacts_reused": r.artifacts_reused,
-        "parallel_blocks": r.parallel_blocks,
-        "blocks_cancelled": r.blocks_cancelled,
-        "parallel_scan_states": r.parallel_scan_states,
+        "counters": dict(r.counters),
     },
     lambda node: Report(
         tuple(decode(x) for x in node["results"]),
         elapsed=node["elapsed"],
-        entailment_cache_hits=node["entailment_cache_hits"],
-        entailment_cache_misses=node["entailment_cache_misses"],
-        image_cache_hits=node["image_cache_hits"],
-        image_cache_misses=node["image_cache_misses"],
-        image_cache_evictions=node["image_cache_evictions"],
-        entailment_sat_decisions=node["entailment_sat_decisions"],
-        entailment_brute_decisions=node["entailment_brute_decisions"],
-        image_mask_hits=node["image_mask_hits"],
-        image_mask_misses=node["image_mask_misses"],
-        fingerprint_hits=node["fingerprint_hits"],
-        cone_invalidations=node["cone_invalidations"],
-        artifacts_reused=node["artifacts_reused"],
-        parallel_blocks=node["parallel_blocks"],
-        blocks_cancelled=node["blocks_cancelled"],
-        parallel_scan_states=node["parallel_scan_states"],
+        counters=dict(node["counters"]),
     ),
 )
 

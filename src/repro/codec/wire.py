@@ -28,6 +28,11 @@ changes (fields added/removed/renamed, value encodings changed).  A
 decoder refuses documents from a different version loudly instead of
 misreading them; golden fixture files under ``tests/codec/`` pin the
 current shapes and CI fails when they drift without a bump.
+
+Open maps are not shape: a ``report``'s ``counters`` object carries
+whatever ``{name: int}`` keys :meth:`repro.api.session.Session.counters`
+names, so adding a counter changes the contents of ``report.json``
+(regenerate it) but needs no bump.
 """
 
 from ..errors import ReproError
@@ -35,7 +40,7 @@ from ..errors import ReproError
 #: The version stamped on every top-level document.  Bump on ANY change
 #: to the wire shape of ANY kind, and regenerate the golden fixtures
 #: (``python tests/codec/test_golden.py --regen``).
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 #: The discriminator key present on every node.
 KIND_KEY = "$kind"

@@ -620,8 +620,8 @@ class DifferentialChecker:
                 % (
                     victim,
                     mismatched,
-                    incremental.fingerprint_hits,
-                    incremental.cone_invalidations,
+                    incremental.counters["fingerprint_hits"],
+                    incremental.counters["cone_invalidations"],
                 )
             )
         return None

@@ -44,7 +44,24 @@ class SideConditionError(ProofError):
 
 
 class EntailmentError(ProofError):
-    """An entailment required by a rule (e.g. Cons) does not hold."""
+    """An entailment required by a rule (e.g. Cons) does not hold.
+
+    The message may be a zero-argument callable, called on the first
+    ``str()``: a caller that only catches the error then skips the work
+    its text reports (the counterexample search of
+    :meth:`~repro.assertions.entail.EntailmentOracle.require`).
+    """
+
+    def __str__(self):
+        if self.args and callable(self.args[0]):
+            self.args = (self.args[0](),)
+        return super().__str__()
+
+    def __repr__(self):
+        return "%s(%r)" % (type(self).__name__, str(self))
+
+    def __reduce__(self):
+        return type(self), (str(self),)
 
 
 class SolverError(ReproError):

@@ -1,8 +1,12 @@
 """Session state: parse caches, entailment memoization, batching, report."""
 
+from concurrent.futures import Future
+from dataclasses import replace
+
 import pytest
 
-from repro.api import Session, VerificationTask
+from repro.api import Session, VerificationTask, sharding
+from repro.api.session import TaskResult
 from repro.assertions.sugar import low
 
 GNI_PRE = "forall <a>, <b>. a(l) == b(l)"
@@ -87,7 +91,7 @@ class TestVerifyMany:
 
     def test_batch_shares_entailment_cache(self, session):
         report = session.verify_many(BATCH)
-        assert report.entailment_cache_hits > 0
+        assert report.counters["entailment_hits"] > 0
         # The repeated GNI task must be decided without new misses: its
         # two Cons entailments are already cached by the first instance.
         assert report.results[2].verified
@@ -146,28 +150,138 @@ class TestReportObservability:
     def test_entailment_method_counts_are_batch_deltas(self):
         s = Session(["h", "l", "y"], 0, 1)
         first = s.verify_many(BATCH)
-        assert first.entailment_sat_decisions > 0
+        assert first.counters["entailment_sat"] > 0
         # a repeat batch is answered from the entailment cache: cache
         # hits count under the original deciding method, so the deltas
         # stay attributed to this batch
         second = s.verify_many(BATCH)
-        assert second.entailment_sat_decisions >= 0
-        assert s.oracle.method_counts().get("sat", 0) >= first.entailment_sat_decisions
+        assert second.counters["entailment_sat"] >= 0
+        sat = s.oracle.method_counts().get("sat", 0)
+        assert sat >= first.counters["entailment_sat"]
 
     def test_brute_oracle_reports_brute_decisions(self):
         s = Session(["x"], 0, 1, entailment="brute")
         report = s.verify_many([("true", "x := 0", "forall <a>. a(x) == 0")])
-        assert report.entailment_brute_decisions > 0
-        assert report.entailment_sat_decisions == 0
+        assert report.counters["entailment_brute"] > 0
+        assert report.counters["entailment_sat"] == 0
 
     def test_report_counts_round_trip_on_the_wire(self, session):
         from repro.codec import from_wire
 
         report = session.verify_many(BATCH)
         decoded = from_wire(report.to_wire())
-        assert decoded.entailment_sat_decisions == report.entailment_sat_decisions
-        assert decoded.entailment_brute_decisions == report.entailment_brute_decisions
+        for name in ("entailment_sat", "entailment_brute"):
+            assert decoded.counters[name] == report.counters[name]
         assert decoded.decided_by_backend() == report.decided_by_backend()
+        assert decoded.counters == report.counters
+
+
+def _zero_elapsed(report):
+    """``report`` with every timing zeroed, so its summary is stable."""
+    results = tuple(
+        TaskResult(r.task, tuple(o.with_elapsed(0.0) for o in r.outcomes))
+        for r in report.results
+    )
+    return replace(report, results=results, elapsed=0.0)
+
+
+class _InlinePool:
+    """A stand-in for the shard ``ProcessPoolExecutor`` that runs every
+    chunk in this process on a freshly initialized worker session and
+    keeps each chunk's counter delta."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.initializer = initializer
+        self.initargs = initargs
+        self.deltas = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.initializer(*self.initargs)
+        rows, delta = fn(*args)
+        self.deltas.append(delta)
+        future = Future()
+        future.set_result((rows, delta))
+        return future
+
+
+class TestReportCounters:
+    """``Report.counters``: one delta of :meth:`Session.counters`."""
+
+    def test_summary_text_is_pinned(self, session):
+        loop = ("true", "while (y > 0) { y := y - 1 }", "forall <a>. a(y) == 1")
+        batch = [BATCH[0], loop, BATCH[2], BATCH[3]]
+        report = _zero_elapsed(session.verify_many(batch))
+        assert report.summary() == "\n".join([
+            "report: 3 verified, 1 refuted, 0 undecided in 0.000s (entailment "
+            "cache: 2 hits, 4 misses; image cache: 0 hits, 8 misses, 0 "
+            "evictions; mask tier: 0 hits, 0 misses)",
+            "  decided by: symbolic: 1, syntactic-wp: 3; entailments: 6 sat, "
+            "0 brute",
+            "  incremental: 0 fingerprint hits, 0 cone invalidations, 2 "
+            "artifacts reused",
+            "  parallel: 0 blocks, 0 cancelled, 0 states scanned",
+            "  task 0               verified  via syntactic-wp+sat       0.000s",
+            "  task 1               refuted   via sat-validity           0.000s",
+            "  task 2               verified  via syntactic-wp+sat       0.000s",
+            "  task 3               verified  via syntactic-wp+sat       0.000s",
+        ])
+        old = session.parse_program("l := 0")
+        edited = batch[:3] + [("true", "l := 1", "forall <a>. a(l) == 1")]
+        report = _zero_elapsed(session.reverify(edited, changed=[old]))
+        assert report.summary().splitlines()[:4] == [
+            "report: 3 verified, 1 refuted, 0 undecided in 0.000s (entailment "
+            "cache: 0 hits, 2 misses; image cache: 0 hits, 0 misses, 0 "
+            "evictions; mask tier: 0 hits, 0 misses)",
+            "  decided by: symbolic: 1, syntactic-wp: 3; entailments: 2 sat, "
+            "0 brute",
+            "  incremental: 3 fingerprint hits, 1 cone invalidations, 0 "
+            "artifacts reused",
+            "  parallel: 0 blocks, 0 cancelled, 0 states scanned",
+        ]
+
+    def test_cache_info_is_counters_plus_size_gauges(self, session):
+        session.verify_many(BATCH)
+        counters = session.counters()
+        info = session.cache_info()
+        assert {k: info[k] for k in counters} == counters
+        assert set(info) - set(counters) == {
+            "entailment_size", "image_size", "image_mask_size",
+            "compile_size", "programs", "assertions",
+        }
+        assert all(isinstance(v, int) for v in info.values())
+
+    def test_inline_and_sharded_counters_share_their_keys(self, session):
+        inline = session.verify_many(BATCH)
+        sharded = Session(["h", "l", "y"], 0, 1).verify_many(
+            BATCH, sharding="process", shards=2
+        )
+        assert set(inline.counters) == set(sharded.counters)
+        assert set(inline.counters) == set(session.counters())
+        assert sharded.counters["entailment_misses"] > 0
+
+    def test_sharded_counters_sum_the_shard_deltas(self, session, monkeypatch):
+        pools = []
+
+        def pool(**kwargs):
+            pools.append(_InlinePool(**kwargs))
+            return pools[-1]
+
+        monkeypatch.setattr(sharding, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(sharding, "_WORKER_SESSION", None)
+        report = session.verify_many(BATCH, sharding="process", shards=2)
+        (deltas,) = [p.deltas for p in pools]
+        assert len(deltas) == 2
+        assert all(set(d) == set(session.counters()) for d in deltas)
+        assert report.counters == {
+            name: sum(d[name] for d in deltas) for name in deltas[0]
+        }
+        assert all(d["entailment_misses"] > 0 for d in deltas)
 
 
 class TestDisprove:

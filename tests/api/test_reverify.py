@@ -3,7 +3,8 @@
 ``Session.reverify`` must be *invisible* semantically — same verdicts,
 proofs and witnesses as a cold ``verify_many`` — while reusing stored
 outcomes for unchanged tasks.  These tests pin the reuse accounting
-(``fingerprint_hits`` / ``cone_invalidations`` / ``artifacts_reused``),
+(the ``fingerprint_hits`` / ``cone_invalidations`` counters and the
+``artifacts reused`` figure of the summary),
 the ``changed=`` cone drop, the configuration sensitivity of ledger
 keys, the semantic-assertion fallback, and the :meth:`Session.reset`
 contract (a reset session re-verifies exactly like a cold one).
@@ -34,12 +35,18 @@ def cold_report(tasks, **kwargs):
     return Session(["h", "l", "y"], lo=0, hi=1).verify_many(tasks, **kwargs)
 
 
+def artifacts_reused(report):
+    """Subtree-level cache hits, the figure ``Report.summary()`` prints."""
+    names = ("entailment_hits", "image_hits", "compile_hits")
+    return sum(report.counters.get(name, 0) for name in names)
+
+
 class TestReuse:
     def test_unchanged_suite_is_fully_reused(self, session):
         first = session.verify_many(SUITE)
         again = session.reverify(SUITE)
-        assert again.fingerprint_hits == len(SUITE)
-        assert again.cone_invalidations == 0
+        assert again.counters["fingerprint_hits"] == len(SUITE)
+        assert again.counters["cone_invalidations"] == 0
         assert [r.verdict for r in again] == [r.verdict for r in first]
         assert [r.method for r in again] == [r.method for r in first]
         # reused results are the ledger'd objects — nothing re-ran
@@ -51,15 +58,16 @@ class TestReuse:
         edited = list(SUITE)
         edited[1] = (SUITE[1][0], "l := 1", SUITE[1][2])
         report = session.reverify(edited, changed=[old_cmd])
-        assert report.fingerprint_hits == len(SUITE) - 1
-        assert report.cone_invalidations > 0
+        assert report.counters["fingerprint_hits"] == len(SUITE) - 1
+        assert report.counters["cone_invalidations"] > 0
         cold = cold_report(edited)
+        assert set(report.counters) == set(cold.counters)
         assert [r.verdict for r in report] == [r.verdict for r in cold]
         assert [r.method for r in report] == [r.method for r in cold]
 
     def test_cold_session_reverify_is_just_verify(self, session):
         report = session.reverify(SUITE)
-        assert report.fingerprint_hits == 0
+        assert report.counters["fingerprint_hits"] == 0
         cold = cold_report(SUITE)
         assert [r.verdict for r in report] == [r.verdict for r in cold]
 
@@ -70,8 +78,8 @@ class TestReuse:
         report = session.reverify(edited)
         # content addressing needs no edit declaration for correctness:
         # the edited task misses, the rest hit
-        assert report.fingerprint_hits == len(SUITE) - 1
-        assert report.cone_invalidations == 0
+        assert report.counters["fingerprint_hits"] == len(SUITE) - 1
+        assert report.counters["cone_invalidations"] == 0
         assert [r.verdict for r in report] == [
             r.verdict for r in cold_report(edited)
         ]
@@ -94,8 +102,8 @@ class TestConeInvalidation:
         report = session.reverify(SUITE, changed=[fingerprint(old_cmd)])
         # the task itself was not edited, so after the cone drop it
         # simply re-runs and re-ledgers — N-1 hits, same verdicts
-        assert report.fingerprint_hits == len(SUITE) - 1
-        assert report.cone_invalidations > 0
+        assert report.counters["fingerprint_hits"] == len(SUITE) - 1
+        assert report.counters["cone_invalidations"] > 0
 
     def test_editing_a_shared_subtree_invalidates_all_containers(self):
         session = Session(["h", "l", "y"], lo=0, hi=1)
@@ -108,7 +116,7 @@ class TestConeInvalidation:
         report = session.reverify(shared, changed=[old_cmd])
         # both tasks contain the changed subtree: neither may be reused
         # from a stale ledger after its declared edit
-        assert report.fingerprint_hits == 0
+        assert report.counters["fingerprint_hits"] == 0
 
     def test_semantic_changed_items_are_skipped(self, session):
         session.verify_many(SUITE)
@@ -120,14 +128,14 @@ class TestLedgerKeys:
     def test_budget_change_is_never_a_false_hit(self, session):
         session.verify_many(SUITE)
         report = session.reverify(SUITE, budgets={"exhaustive": 30.0})
-        assert report.fingerprint_hits == 0
+        assert report.counters["fingerprint_hits"] == 0
 
     def test_backend_chain_change_is_never_a_false_hit(self, session):
         from repro.api.backends import ExhaustiveBackend
 
         session.verify_many(SUITE)
         report = session.reverify(SUITE, backends=[ExhaustiveBackend()])
-        assert report.fingerprint_hits == 0
+        assert report.counters["fingerprint_hits"] == 0
 
     def test_semantic_tasks_always_rerun(self, session):
         suite = [
@@ -135,7 +143,7 @@ class TestLedgerKeys:
         ]
         first = session.verify_many(suite)
         again = session.reverify(suite)
-        assert again.fingerprint_hits == 0
+        assert again.counters["fingerprint_hits"] == 0
         assert [r.verdict for r in again] == [r.verdict for r in first]
 
 
@@ -144,7 +152,7 @@ class TestReset:
         session.verify_many(SUITE)
         session.reset()
         report = session.reverify(SUITE)
-        assert report.fingerprint_hits == 0
+        assert report.counters["fingerprint_hits"] == 0
         assert len(session.deps) > 0  # re-recorded by the fresh run
         cold = cold_report(SUITE)
         assert [r.verdict for r in report] == [r.verdict for r in cold]
@@ -173,12 +181,15 @@ class TestReset:
 class TestCounters:
     def test_report_counters_round_trip_the_codec(self):
         report = Report(
-            (), fingerprint_hits=3, cone_invalidations=2, artifacts_reused=7
+            (), counters={"fingerprint_hits": 3, "cone_invalidations": 2,
+                          "compile_hits": 7}
         )
         decoded = from_wire(to_wire(report))
-        assert decoded.fingerprint_hits == 3
-        assert decoded.cone_invalidations == 2
-        assert decoded.artifacts_reused == 7
+        assert decoded == report
+        assert decoded.counters["fingerprint_hits"] == 3
+        assert decoded.counters["cone_invalidations"] == 2
+        assert artifacts_reused(decoded) == 7
+        assert "7 artifacts reused" in decoded.summary()
 
     def test_summary_mentions_the_incremental_line(self, session):
         session.verify_many(SUITE)
@@ -192,14 +203,14 @@ class TestCounters:
         report = session.reverify(edited)
         # the re-run task shares its command and post with the warm run:
         # compiled closures / images / verdicts must hit
-        assert report.artifacts_reused > 0
+        assert artifacts_reused(report) > 0
 
     def test_sharded_report_aggregates_artifacts_reused(self, session):
         # two shards, each repeating a command across its chunk: the
         # per-worker compile/image/entailment hits must flow back
         suite = SUITE * 2
         report = session.verify_many(suite, sharding="process", shards=2)
-        assert report.artifacts_reused > 0
-        assert report.fingerprint_hits == 0  # plain batches never claim reuse
+        assert artifacts_reused(report) > 0
+        assert report.counters["fingerprint_hits"] == 0  # plain batches never claim reuse
         decoded = from_wire(to_wire(report))
-        assert decoded.artifacts_reused == report.artifacts_reused
+        assert artifacts_reused(decoded) == artifacts_reused(report)

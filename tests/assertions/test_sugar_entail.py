@@ -128,6 +128,45 @@ class TestEntailment:
         assert pretty_assertion(pre) in message
         assert pretty_assertion(post) in message
 
+    def test_sat_require_decodes_the_counterexample_from_the_model(
+        self, monkeypatch
+    ):
+        import pickle
+        import re
+
+        from repro.assertions import entail
+        from repro.assertions.parser import parse_assertion
+        from repro.assertions.printer import pretty_assertion
+        from repro.assertions.semantic import sem
+        from repro.solver.encode import entailment_model
+
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("a sat oracle enumerated subsets")
+
+        monkeypatch.setattr(entail, "iter_subsets", no_enumeration)
+        pre = parse_assertion("exists <a>. true")
+        post = parse_assertion("forall <a>, <b>. a(l) == b(l)")
+        oracle = EntailmentOracle(ALL, D, method="sat")
+        with pytest.raises(EntailmentError) as info:
+            oracle.require(pre, post, "test")
+        message = str(info.value)
+        assert pretty_assertion(pre) in message
+        assert pretty_assertion(post) in message
+        found = re.search(r"counterexample: (-?\d+)-state set", message)
+        size = int(found.group(1))
+        cex = oracle.find_counterexample(pre, post)
+        assert size == len(cex) >= 2
+        assert cex == entailment_model(pre, post, oracle.universe, D)
+        # the deferred text survives repr and pickling
+        assert message in repr(info.value)
+        assert str(pickle.loads(pickle.dumps(info.value))) == message
+        assert pre.holds(cex, D) and not post.holds(cex, D)
+        # brute oracles and ungroundable operands still enumerate
+        with pytest.raises(AssertionError, match="enumerated"):
+            EntailmentOracle(ALL, D).find_counterexample(pre, post)
+        with pytest.raises(AssertionError, match="enumerated"):
+            oracle.find_counterexample(sem(lambda states: True), post)
+
     def test_oracle_entails_bool(self):
         oracle = EntailmentOracle(ALL, D)
         assert oracle.entails(emp_s, low("l"))

@@ -19,7 +19,9 @@ Two layers under test, both with exact-equality obligations:
 """
 
 import gc
+import multiprocessing
 import random
+import time
 import weakref
 
 import pytest
@@ -190,8 +192,8 @@ class TestSessionPlumbing:
                 [("true", "x := nonDet()", "forall <a>. a(x) >= 0")]
             )
             assert report.all_verified
-            assert report.parallel_blocks > 0
-            assert report.parallel_scan_states > 0
+            assert report.counters["parallel_blocks"] > 0
+            assert report.counters["parallel_scan_states"] > 0
             assert "parallel:" in report.summary()
         finally:
             session.close()
@@ -221,9 +223,9 @@ class TestSessionPlumbing:
             parallel.close()
 
     def test_closed_scanner_is_collectable(self):
-        """``close()`` drops the exit hook that would otherwise pin the
-        scanner, its engine and its session until interpreter exit.  The
-        pool is built but never handed work, so no worker process starts."""
+        """A closed scanner, its engine and its session are collectable.
+        The pool is built but never handed work, so no worker process
+        starts."""
         session = Session(["x", "y"], lo=0, hi=1, intra_task_workers=2)
         scanner = session.engine._parallel_scanner()
         scanner._ensure_pool()
@@ -234,6 +236,35 @@ class TestSessionPlumbing:
         gc.collect()
         assert scanner_ref() is None
         assert session_ref() is None
+
+    def test_dropped_session_stops_its_workers(self):
+        """A session dropped without ``close()`` after a partitioned scan
+        is collected, and collecting it shuts its pool's workers down."""
+        before = set(multiprocessing.active_children())
+        session = Session(
+            ["x", "y"],
+            lo=0,
+            hi=1,
+            backends=(ExhaustiveBackend(),),
+            intra_task_workers=2,
+        )
+        session.engine.parallel_min_candidates = 0
+        report = session.verify_many(
+            [("true", "x := nonDet()", "forall <a>. a(x) >= 0")]
+        )
+        assert report.counters["parallel_blocks"] > 0
+        workers = set(multiprocessing.active_children()) - before
+        assert workers
+        session_ref = weakref.ref(session)
+        engine_ref = weakref.ref(session.engine)
+        del session, report
+        gc.collect()
+        assert session_ref() is None
+        assert engine_ref() is None
+        deadline = time.monotonic() + 30
+        while any(w.is_alive() for w in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(w.is_alive() for w in workers)
 
     def test_spec_round_trips_intra_task_workers(self):
         session = Session(["x", "y"], lo=0, hi=1, intra_task_workers=3)
@@ -266,7 +297,7 @@ class TestSessionPlumbing:
         assert [r.outcome.witness for r in report] == [
             r.outcome.witness for r in inline
         ]
-        assert report.parallel_blocks > 0
+        assert report.counters["parallel_blocks"] > 0
 
 
 class TestRestartAndReductionInvariance:

@@ -475,7 +475,7 @@ class TestImageCacheBound:
             max_image_entries=3,
         )
         report = session.verify_many([("true", "x := nonDet()", "true")] * 2)
-        assert report.image_cache_misses > 0
+        assert report.counters["image_misses"] > 0
         assert "image cache:" in report.summary()
         assert "evictions" in report.summary()
         info = session.cache_info()

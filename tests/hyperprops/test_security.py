@@ -66,22 +66,22 @@ class TestC3SatisfiesGNI:
 
 
 class TestC4ViolatesGNI:
-    def test_universe(self):
+    def _universe(self):
         # bound 1 on a 0..2 domain: h=2 forces l >= 2... shrunken story:
         # y <= 1 while h ranges to 2 — the pad is too small.
         return Universe(["h", "l", "y"], IntRange(0, 2))
 
     def test_gni_direct_fails(self):
-        uni = self.test_universe()
+        uni = self._universe()
         assert not satisfies_gni_direct(c4(bound=1), uni, "l", "h")
 
     def test_gni_triple_fails(self):
-        uni = self.test_universe()
+        uni = self._universe()
         assert not satisfies_gni_triple(c4(bound=1), uni, "l", "h", max_size=3)
 
     def test_violation_provable(self):
         """The Fig. 4 result as a semantic triple check."""
-        uni = self.test_universe()
+        uni = self._universe()
         assert violates_gni_triple(c4(bound=1), uni, "l", "h", max_size=4)
 
 

@@ -18,6 +18,13 @@ expose one core) and drives it with a load-generator client pool:
    (:data:`MIN_WARM_SPEEDUP`); the measured ratio is printed for the
    trajectory data in ``BENCH_results.json``.
 
+A pass is a handful of requests lasting milliseconds, so one sample of
+either pass swings with whatever else the machine runs.  Both passes
+are therefore measured with the same estimator: the cold/warm pair is
+repeated :data:`REPEATS` times, each on a fresh daemon, an empty store
+and an empty session registry, and each pass reports its fastest repetition (other load only
+ever slows a pass down, so the minimum is what repeats run to run).
+
 Usage::
 
     python benchmarks/bench_serve.py              # full workload
@@ -41,8 +48,13 @@ from repro.assertions.parser import parse_assertion  # noqa: E402
 from repro.gen import GenConfig, trials  # noqa: E402
 from repro.lang.parser import parse_command  # noqa: E402
 from repro.serve import BackgroundServer, ServeClient, ServeConfig  # noqa: E402
+from repro.serve.worker import clear_sessions  # noqa: E402
 
 MIN_WARM_SPEEDUP = 10.0
+
+#: Cold/warm pass pairs per run, each pair on a fresh daemon and store;
+#: each pass reports its fastest repetition.
+REPEATS = 5
 
 GEN_PVARS = ("x", "y", "z")
 GEN_SEED = 7
@@ -157,8 +169,14 @@ def report_pass(name, elapsed, latencies, count):
     )
 
 
-def bench(quick, clients):
-    tasks = build_workload(quick)
+def measure_pair(tasks, clients):
+    """One cold pass and one warm pass on a fresh daemon and empty store,
+    cross-validated; returns the two ``(elapsed, latencies)`` results.
+
+    The thread executor's live-session registry is process-wide and
+    outlives a daemon; it is emptied first so that every cold pass
+    builds its sessions (and their entailment caches) from scratch."""
+    clear_sessions()
     with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as scratch:
         config = ServeConfig(
             port=0,
@@ -171,32 +189,38 @@ def bench(quick, clients):
             cold_t, cold_lat, cold = drive(background.address, tasks, clients)
             warm_t, warm_lat, warm = drive(background.address, tasks, clients)
 
-            assert all(not r["cached"] for r in cold), (
-                "cold pass saw a store hit — the scratch store was not empty"
-            )
-            assert all(r["cached"] for r in warm), (
-                "warm pass missed the store"
-            )
-            mismatched = [
-                i
-                for i, (c, w) in enumerate(zip(cold, warm))
-                if c["result"] != w["result"]
-            ]
-            assert not mismatched, (
-                "store hits diverged from inline results at %r" % mismatched
-            )
-            print(
-                "cross-validation: %d warm responses byte-identical to the "
-                "cold pass: OK" % len(tasks)
-            )
+    assert all(not r["cached"] for r in cold), (
+        "cold pass saw a store hit — the scratch store was not empty"
+    )
+    assert all(r["cached"] for r in warm), "warm pass missed the store"
+    mismatched = [
+        i for i, (c, w) in enumerate(zip(cold, warm)) if c["result"] != w["result"]
+    ]
+    assert not mismatched, (
+        "store hits diverged from inline results at %r" % mismatched
+    )
+    return (cold_t, cold_lat), (warm_t, warm_lat)
 
+
+def bench(quick, clients):
+    tasks = build_workload(quick)
+    pairs = [measure_pair(tasks, clients) for _ in range(REPEATS)]
+    print(
+        "cross-validation: %d x %d warm responses byte-identical to the "
+        "cold pass: OK" % (REPEATS, len(tasks))
+    )
+    cold_t, cold_lat = min((cold for cold, _ in pairs), key=lambda run: run[0])
+    warm_t, warm_lat = min((warm for _, warm in pairs), key=lambda run: run[0])
+
+    print("fastest of %d repetitions per pass:" % REPEATS)
     report_pass("cold (worker pool)", cold_t, cold_lat, len(tasks))
     report_pass("warm (store hits)", warm_t, warm_lat, len(tasks))
     speedup = (len(tasks) / warm_t) / (len(tasks) / cold_t)
     print("warm-vs-cold throughput: %.1fx" % speedup)
     assert speedup >= MIN_WARM_SPEEDUP, (
-        "store-hit speedup %.1fx below the %.0fx floor"
-        % (speedup, MIN_WARM_SPEEDUP)
+        # no "<number>x" here: run_all.py reads those as measured ratios
+        "store-hit speedup below the floor, MIN_WARM_SPEEDUP = %.1f"
+        % MIN_WARM_SPEEDUP
     )
     print("throughput >= %.0fx: OK" % MIN_WARM_SPEEDUP)
 

@@ -406,6 +406,14 @@ class SynAssertion(Assertion):
         """All ``(state, var)`` logical lookups, including under binders."""
         raise NotImplementedError
 
+    def free_reads(self):
+        """The ``φ_P(x)``/``φ_L(x)`` lookups (as :class:`HProg`/:class:`HLog`)
+        whose state ``φ`` is not bound inside this assertion — the part of
+        an enclosing state environment its truth can depend on."""
+        return frozenset(HProg(s, v) for s, v in self.prog_lookups()) | frozenset(
+            HLog(s, v) for s, v in self.log_lookups()
+        )
+
     def free_prog_vars(self):
         """``fv(A)`` — program variables read via any quantified state.
 
@@ -567,6 +575,9 @@ class SAnd(SynAssertion):
     def log_lookups(self):
         return self.left.log_lookups() | self.right.log_lookups()
 
+    def free_reads(self):
+        return self.left.free_reads() | self.right.free_reads()
+
     def subst_prog(self, state_name, var, replacement):
         return SAnd(
             self.left.subst_prog(state_name, var, replacement),
@@ -614,6 +625,9 @@ class SOr(SynAssertion):
     def log_lookups(self):
         return self.left.log_lookups() | self.right.log_lookups()
 
+    def free_reads(self):
+        return self.left.free_reads() | self.right.free_reads()
+
     def subst_prog(self, state_name, var, replacement):
         return SOr(
             self.left.subst_prog(state_name, var, replacement),
@@ -649,8 +663,15 @@ class _Quant(SynAssertion):
     def log_lookups(self):
         return self.body.log_lookups()
 
+    def free_reads(self):
+        bound = self._bound_state()
+        return frozenset(r for r in self.body.free_reads() if r.state != bound)
+
     def _bound_value(self):
         return frozenset()
+
+    def _bound_state(self):
+        return None
 
 
 @dataclass(frozen=True)
@@ -753,6 +774,9 @@ class SForallState(_Quant):
     def negate(self):
         return SExistsState(self.state, self.body.negate())
 
+    def _bound_state(self):
+        return self.state
+
     def subst_prog(self, state_name, var, replacement):
         return SForallState(self.state, self.body.subst_prog(state_name, var, replacement))
 
@@ -791,6 +815,9 @@ class SExistsState(_Quant):
 
     def negate(self):
         return SForallState(self.state, self.body.negate())
+
+    def _bound_state(self):
+        return self.state
 
     def subst_prog(self, state_name, var, replacement):
         return SExistsState(self.state, self.body.subst_prog(state_name, var, replacement))

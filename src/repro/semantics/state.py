@@ -90,6 +90,11 @@ class State:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # rebuild from the mapping: ``_hash`` is only valid in the process
+        # that computed it (``str`` hashes are seeded per interpreter)
+        return (State, (self._dict,))
+
     def __repr__(self):
         return "State({%s})" % ", ".join("%s=%r" % kv for kv in self._items)
 
@@ -111,6 +116,10 @@ class ExtState:
             h = hash((self.log, self.prog))
             object.__setattr__(self, "_hash", h)
         return h
+
+    def __reduce__(self):
+        # rebuild from the components: the cached hash is process-local
+        return (ExtState, (self.log, self.prog))
 
     def pvar(self, name):
         """``φ_P(x)`` — the value of program variable ``x``."""

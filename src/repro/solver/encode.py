@@ -16,10 +16,18 @@ The grounding pass is compile-once per query: each distinct comparison
 leaf is lowered to a closure (:func:`repro.compile.hyper.compile_hexpr`)
 the first time it is seen, the per-state atom literals are built once
 up front, and quantifier instantiation mutates a single binding
-environment (set/restore) instead of copying a dict per instantiation —
-the ``U^depth × |D|^vals`` leaf evaluations are then plain closure
-calls.  The solver-facing entry points additionally key their atoms by
-the state's *interned id* (its position in the universe tuple), so the
+environment (set/restore) instead of copying a dict per instantiation.
+A quantifier's grounding depends on the enclosing bindings only through
+the values it reads from them, so each quantifier node is grounded once
+per distinct *read projection* — the values of its free ``φ(x)``
+lookups and free value variables — and the result is shared by every
+binding with that projection.  GNI's ``∃⟨φ⟩. φ(h) = φ1(h) ∧ φ(l) =
+φ2(l)`` is grounded once per ``(φ1(h), φ2(l))`` pair rather than once
+per ``(φ1, φ2)``, so the naive ``U^depth × |D|^vals`` leaf evaluations
+shrink to the number of distinct projections times the body's own
+width.  The output is the same formula the unmemoized recursion builds.
+The solver-facing entry points additionally key their atoms by the
+state's *interned id* (its position in the universe tuple), so the
 formula, CNF and DPLL layers hash machine ints instead of whole
 extended states.
 """
@@ -27,6 +35,7 @@ extended states.
 from ..assertions.base import Assertion
 from ..assertions.semantic import AndAssertion, NotAssertion, OrAssertion
 from ..assertions.syntax import (
+    HProg,
     SAnd,
     SBool,
     SCmp,
@@ -45,6 +54,8 @@ from .formula import FAnd, FFalse, FNot, FOr, FTrue, FVar, f_or, fand, fnot, fva
 from .sat import IncrementalSolver, solve_formula
 
 _MISSING = object()
+
+_QUANTIFIERS = (SForallState, SExistsState, SForallVal, SExistsVal)
 
 
 class Unsupported(Exception):
@@ -83,12 +94,23 @@ class _Grounder:
     """One grounding pass over one universe/atom namespace.
 
     Holds the prebuilt positive/negative atom literals (one pair per
-    state id) and the memo of compiled comparison closures; the
-    recursion threads two *mutable* binding environments, restoring
-    each binding on exit instead of copying the dict per instantiation.
+    state id), the memo of compiled comparison closures, and the
+    *projection memo*: a quantifier node's grounding is a function of
+    the values it reads from the enclosing bindings — its free
+    ``φ(x)`` lookups (:meth:`~repro.assertions.syntax.SynAssertion.free_reads`)
+    in ``sigma`` and its free value variables in ``delta`` — so each
+    quantifier node is grounded once per distinct tuple of those values
+    and the formula object is shared by every other binding that
+    projects to it.  An unbound state or a missing variable keys as a
+    sentinel (recomputing it raises the same error), and only completed
+    groundings are stored.  A quantifier reached with no binding at all
+    (an outermost one) is reached once, so it skips the key.  The
+    recursion threads two *mutable* binding
+    environments, restoring each binding on exit instead of copying the
+    dict per instantiation.
     """
 
-    __slots__ = ("universe", "domain", "pos", "neg", "_cmps")
+    __slots__ = ("universe", "domain", "pos", "neg", "_cmps", "_memos")
 
     def __init__(self, universe, domain, atom):
         self.universe = universe
@@ -96,6 +118,7 @@ class _Grounder:
         self.pos = tuple(fvar(atom(u)) for u in universe)
         self.neg = tuple(fnot(v) for v in self.pos)
         self._cmps = {}
+        self._memos = {}  # id(quantifier node) -> (reads, value vars, memo)
 
     def _cmp_fn(self, node):
         # keyed by node identity: the assertion tree outlives the pass,
@@ -111,6 +134,27 @@ class _Grounder:
 
             self._cmps[id(node)] = fn
         return fn
+
+    def _projection(self, node, sigma, delta):
+        """``node``'s memo and the key of the current bindings in it: the
+        values of its free reads in ``sigma`` and of its free value
+        variables in ``delta``, ``_MISSING`` for whatever is unbound."""
+        entry = self._memos.get(id(node))
+        if entry is None:
+            reads = tuple(
+                (r.state, r.var, isinstance(r, HProg)) for r in node.free_reads()
+            )
+            entry = (reads, tuple(node.free_value_vars()), {})
+            self._memos[id(node)] = entry
+        reads, value_vars, memo = entry
+        key = []
+        for state, var, prog in reads:
+            phi = sigma.get(state, _MISSING)
+            if phi is not _MISSING:
+                phi = (phi.prog if prog else phi.log).get(var, _MISSING)
+            key.append(phi)
+        key.extend(delta.get(name, _MISSING) for name in value_vars)
+        return memo, tuple(key)
 
     def ground(self, node, sigma, delta):
         # semantic combinator wrappers around syntactic parts remain groundable
@@ -137,6 +181,17 @@ class _Grounder:
             if isinstance(left, FTrue):  # mirror `or` short-circuit
                 return left
             return f_or(left, self.ground(node.right, sigma, delta))
+        if not isinstance(node, _QUANTIFIERS):
+            raise Unsupported("cannot ground %r" % (node,))
+        if not sigma and not delta:  # outermost: reached once, nothing to share
+            return self._ground_quantifier(node, sigma, delta)
+        memo, key = self._projection(node, sigma, delta)
+        formula = memo.get(key)
+        if formula is None:  # only completed groundings are stored
+            formula = memo[key] = self._ground_quantifier(node, sigma, delta)
+        return formula
+
+    def _ground_quantifier(self, node, sigma, delta):
         if isinstance(node, (SForallVal, SExistsVal)):
             name = node.var
             body = node.body
@@ -156,24 +211,22 @@ class _Grounder:
             else:
                 delta[name] = old
             return fand(*parts) if universal else f_or(*parts)
-        if isinstance(node, (SForallState, SExistsState)):
-            name = node.state
-            body = node.body
-            old = sigma.get(name, _MISSING)
-            parts = []
-            if isinstance(node, SForallState):
-                lits, combine, inner = self.neg, fand, f_or
-            else:
-                lits, combine, inner = self.pos, f_or, fand
-            for i, u in enumerate(self.universe):
-                sigma[name] = u
-                parts.append(inner(lits[i], self.ground(body, sigma, delta)))
-            if old is _MISSING:
-                sigma.pop(name, None)  # empty universe: never bound
-            else:
-                sigma[name] = old
-            return combine(*parts)
-        raise Unsupported("cannot ground %r" % (node,))
+        name = node.state
+        body = node.body
+        old = sigma.get(name, _MISSING)
+        parts = []
+        if isinstance(node, SForallState):
+            lits, combine, inner = self.neg, fand, f_or
+        else:
+            lits, combine, inner = self.pos, f_or, fand
+        for i, u in enumerate(self.universe):
+            sigma[name] = u
+            parts.append(inner(lits[i], self.ground(body, sigma, delta)))
+        if old is _MISSING:
+            sigma.pop(name, None)  # empty universe: never bound
+        else:
+            sigma[name] = old
+        return combine(*parts)
 
 
 def entails_sat(pre, post, universe, domain, atom=None):

@@ -3,6 +3,14 @@
 Atoms are identified by arbitrary hashable names.  Constructors perform
 light simplification (constant folding, flattening) so that grounded
 hyper-assertions stay small.
+
+The n-ary nodes cache their hash on first use: grounding shares one
+subformula object among many parents, and every structural dictionary
+downstream (the incremental solver's literal map, entailment memos)
+would otherwise rehash the whole subtree on each lookup.  The cache is
+dropped on pickling — ``str`` hashes are seeded per process, so a hash
+carried into another interpreter would break set and dict membership
+there — and recomputed on first use after unpickling.
 """
 
 from dataclasses import dataclass
@@ -78,11 +86,28 @@ class FNot(Formula):
         return self.operand.atoms()
 
 
+def _cached_hash(self):
+    # the dataclass default, ``hash((self.parts,))``, computed once
+    h = self.__dict__.get("_hash")
+    if h is None:
+        h = hash((self.parts,))
+        object.__setattr__(self, "_hash", h)
+    return h
+
+
+def _reduce_parts(self):
+    # rebuild from the parts only: a cached hash never crosses processes
+    return (type(self), (self.parts,))
+
+
 @dataclass(frozen=True)
 class FAnd(Formula):
     """N-ary conjunction."""
 
     parts: Tuple[Formula, ...]
+
+    __hash__ = _cached_hash
+    __reduce__ = _reduce_parts
 
     def evaluate(self, assignment):
         return all(p.evaluate(assignment) for p in self.parts)
@@ -99,6 +124,9 @@ class FOr(Formula):
     """N-ary disjunction."""
 
     parts: Tuple[Formula, ...]
+
+    __hash__ = _cached_hash
+    __reduce__ = _reduce_parts
 
     def evaluate(self, assignment):
         return any(p.evaluate(assignment) for p in self.parts)

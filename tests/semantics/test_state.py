@@ -1,10 +1,18 @@
 """Program and extended states: immutability, equality, updates."""
 
+import json
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
 from repro.semantics.state import ExtState, State, ext_state
+from repro.solver.formula import FAnd, FOr, fvar
 
 values = st.dictionaries(st.sampled_from("xyzw"), st.integers(0, 5), max_size=4)
 
@@ -86,3 +94,59 @@ class TestExtState:
     @given(values, values)
     def test_equality(self, log, prog):
         assert ExtState(State(log), State(prog)) == ExtState(State(log), State(prog))
+
+
+# Builds one object of each class that caches its hash, hashing each so
+# the cache is filled before pickling.
+_SAMPLES = """
+from repro.semantics.state import ext_state
+from repro.solver.formula import FAnd, FOr, fvar
+phi = ext_state({"t": 1}, {"h": 1, "l": 0})
+atoms = (fvar(("member", phi)), fvar("x"))
+samples = [phi, phi.prog, FAnd(atoms), FOr(atoms)]
+for sample in samples:
+    hash(sample)
+"""
+
+
+def _run(hash_seed, script, stdin=b""):
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = str(hash_seed)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        input=stdin,
+        stdout=subprocess.PIPE,
+        env=env,
+        check=True,
+    ).stdout
+
+
+class TestCachedHashesAcrossProcesses:
+    def test_unpickled_objects_hash_like_fresh_ones(self):
+        """``str`` hashes are seeded per interpreter: an object pickled in
+        one process and loaded in another must not keep the hash it
+        cached there, or it is ``==`` to a fresh copy yet not found in a
+        set holding one (spawned workers pickle results back)."""
+        blob = _run(
+            1, _SAMPLES + "import pickle, sys\nsys.stdout.buffer.write(pickle.dumps(samples))"
+        )
+        verdicts = _run(
+            2,
+            _SAMPLES
+            + "import json, pickle, sys\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(json.dumps([[x == y, x in {y}] for x, y in zip(loaded, samples)]))",
+            stdin=blob,
+        )
+        assert json.loads(verdicts) == [[True, True]] * 4
+
+    def test_pickle_round_trip_in_process(self):
+        phi = ext_state({"t": 1}, {"h": 1, "l": 0})
+        atoms = (fvar(("member", phi)), fvar("x"))
+        for sample in (phi, phi.prog, State({"b": 1, "a": 2}), FAnd(atoms), FOr(atoms)):
+            hash(sample)
+            loaded = pickle.loads(pickle.dumps(sample))
+            assert loaded == sample and hash(loaded) == hash(sample)
+            assert type(loaded) is type(sample)
+        assert list(pickle.loads(pickle.dumps(State({"b": 1, "a": 2})))) == ["b", "a"]

@@ -1,9 +1,14 @@
 """Tseitin transformation to CNF.
 
 Atoms are mapped to positive integers; literals are signed integers in
-DIMACS style.  Each non-atomic subformula gets a definition variable and
-the defining clauses, keeping the CNF linear in the formula size (a naive
-distribution would be exponential).
+DIMACS style.  Each distinct non-atomic subformula gets one definition
+variable and its defining clauses, keeping the CNF linear in the size of
+the formula's DAG (a naive distribution would be exponential).  A
+subformula that occurs many times — grounding shares quantifier bodies
+and class selectors among many parents — is encoded once per
+:class:`CNF`: the encodings are memoized structurally, as
+:meth:`repro.solver.encode.IncrementalEntailment._lit` does for the
+persistent solver.
 """
 
 from dataclasses import dataclass, field
@@ -15,11 +20,15 @@ from .formula import FAnd, FFalse, FNot, FOr, FTrue, FVar
 
 @dataclass
 class CNF:
-    """A CNF instance: clauses over integer literals plus the atom map."""
+    """A CNF instance: clauses over integer literals plus the atom map.
+
+    ``lits`` maps each subformula encoded so far to its literal.
+    """
 
     clauses: List[Tuple[int, ...]] = field(default_factory=list)
     atom_to_var: Dict[object, int] = field(default_factory=dict)
     num_vars: int = 0
+    lits: Dict[object, int] = field(default_factory=dict, repr=False)
 
     def new_var(self, atom=None):
         """Allocate a fresh variable, optionally registered for ``atom``."""
@@ -63,6 +72,14 @@ def tseitin(formula, cnf=None):
 
 def _encode(formula, cnf):
     """Return a literal equisatisfiably representing ``formula``."""
+    lit = cnf.lits.get(formula)
+    if lit is None:
+        lit = cnf.lits[formula] = _define(formula, cnf)
+    return lit
+
+
+def _define(formula, cnf):
+    """Allocate ``formula``'s literal and emit its defining clauses."""
     if isinstance(formula, FTrue):
         v = cnf.new_var()
         cnf.add_clause((v,))

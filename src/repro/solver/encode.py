@@ -1,31 +1,38 @@
 """Grounding syntactic hyper-assertions into propositional logic.
 
 Over a finite universe ``U`` of extended states, a set ``S ⊆ U`` is
-described by one Boolean *membership atom* per state.  A Def. 9 assertion
-grounds as:
+described by one Boolean *membership atom* ``m_u`` per state.  A Def. 9
+assertion grounds as:
 
-- ``∀⟨φ⟩. A``  ⟶  ``⋀_{u∈U} (m_u → ⟦A⟧[φ:=u])``
-- ``∃⟨φ⟩. A``  ⟶  ``⋁_{u∈U} (m_u ∧ ⟦A⟧[φ:=u])``
+- ``∀⟨φ⟩. A``  ⟶  ``⋀_K (¬s_K ∨ ⟦A⟧[φ:=u_K])``
+- ``∃⟨φ⟩. A``  ⟶  ``⋁_K (s_K ∧ ⟦A⟧[φ:=u_K])``
 - value quantifiers expand over the finite domain,
 - closed atomic comparisons evaluate to constants.
+
+Here ``K`` ranges over the classes of ``U`` under ``A``'s reads of
+``φ``: two states that agree on every ``φ(x)`` the body reads give it
+the same formula, so each class is grounded once, at its first member
+``u_K``, and guarded by its *class selector* ``s_K = ⋁_{u∈K} m_u``.
+This is the per-state expansion ``⋀_{u∈U} (m_u → ⟦A⟧[φ:=u])`` regrouped
+by class — exact, and still over membership atoms only, so models
+decode to sets unchanged.  GNI's ``∀⟨φ1⟩,⟨φ2⟩. ∃⟨φ⟩. φ(h) = φ1(h) ∧
+φ(l) = φ2(l)`` on the 8-state h,l,y universe has ``2·2·4`` leaves
+instead of ``8·8·8``: ``φ1`` reads only ``h``, ``φ2`` only ``l`` and
+``φ`` both.
 
 ``P |= Q`` then reduces to UNSAT of ``⟦P⟧ ∧ ¬⟦Q⟧`` — the same shape of
 reduction the Hypra verifier performs with Z3, here with our own CDCL solver.
 
 The grounding pass is compile-once per query: each distinct comparison
 leaf is lowered to a closure (:func:`repro.compile.hyper.compile_hexpr`)
-the first time it is seen, the per-state atom literals are built once
-up front, and quantifier instantiation mutates a single binding
-environment (set/restore) instead of copying a dict per instantiation.
-A quantifier's grounding depends on the enclosing bindings only through
-the values it reads from them, so each quantifier node is grounded once
-per distinct *read projection* — the values of its free ``φ(x)``
-lookups and free value variables — and the result is shared by every
-binding with that projection.  GNI's ``∃⟨φ⟩. φ(h) = φ1(h) ∧ φ(l) =
-φ2(l)`` is grounded once per ``(φ1(h), φ2(l))`` pair rather than once
-per ``(φ1, φ2)``, so the naive ``U^depth × |D|^vals`` leaf evaluations
-shrink to the number of distinct projections times the body's own
-width.  The output is the same formula the unmemoized recursion builds.
+the first time it is seen, the per-state atom literals and the class
+selectors are built once, and quantifier instantiation mutates a single
+binding environment (set/restore) instead of copying a dict per
+instantiation.  A quantifier's grounding depends on the enclosing
+bindings only through the values it reads from them, so each quantifier
+node is grounded once per distinct *read projection* — the values of
+its free ``φ(x)`` lookups and free value variables — and the result is
+shared by every binding with that projection.
 The solver-facing entry points additionally key their atoms by the
 state's *interned id* (its position in the universe tuple), so the
 formula, CNF and DPLL layers hash machine ints instead of whole
@@ -35,7 +42,6 @@ extended states.
 from ..assertions.base import Assertion
 from ..assertions.semantic import AndAssertion, NotAssertion, OrAssertion
 from ..assertions.syntax import (
-    HProg,
     SAnd,
     SBool,
     SCmp,
@@ -94,23 +100,41 @@ class _Grounder:
     """One grounding pass over one universe/atom namespace.
 
     Holds the prebuilt positive/negative atom literals (one pair per
-    state id), the memo of compiled comparison closures, and the
-    *projection memo*: a quantifier node's grounding is a function of
-    the values it reads from the enclosing bindings — its free
-    ``φ(x)`` lookups (:meth:`~repro.assertions.syntax.SynAssertion.free_reads`)
-    in ``sigma`` and its free value variables in ``delta`` — so each
-    quantifier node is grounded once per distinct tuple of those values
-    and the formula object is shared by every other binding that
-    projects to it.  An unbound state or a missing variable keys as a
-    sentinel (recomputing it raises the same error), and only completed
-    groundings are stored.  A quantifier reached with no binding at all
-    (an outermost one) is reached once, so it skips the key.  The
-    recursion threads two *mutable* binding
-    environments, restoring each binding on exit instead of copying the
-    dict per instantiation.
+    state id), the memo of compiled comparison closures, the class
+    selectors, and one *entry* per quantifier node.  The first time the
+    pass reaches a quantifier, one walk of its subtree collects the free
+    reads (:meth:`~repro.assertions.syntax.SynAssertion.free_reads`, as
+    ``(state, var, is prog)``) and free value variables of every
+    quantifier inside it and records their entries:
+
+    - **classes** (state quantifiers): ``∃⟨φ⟩. B`` grounds as
+      ``⋁_K (s_K ∧ ⟦B⟧[φ:=u_K])`` and ``∀⟨φ⟩. B`` as
+      ``⋀_K (¬s_K ∨ ⟦B⟧[φ:=u_K])``, where ``K`` ranges over the classes
+      of the universe under ``B``'s reads of ``φ`` (numbered in order of
+      first occurrence), ``u_K`` is the first member of ``K`` and the
+      selector ``s_K = ⋁_{u∈K} m_u`` (plain ``m_u`` for a singleton) is
+      built once per read tuple and shared by every occurrence.  States
+      of one class give ``B`` the same formula — state variables occur
+      only in lookups and every operator is total — so this is the
+      per-state expansion regrouped, not an abstraction.  A missing
+      variable keys as a sentinel, so its class representative raises
+      the same error the per-state expansion would;
+    - **the projection memo**: a quantifier node's grounding is a
+      function of the values it reads from the enclosing bindings — its
+      free ``φ(x)`` lookups in ``sigma`` and its free value variables in
+      ``delta`` — so each node
+      is grounded once per distinct tuple of those values and the
+      formula object is shared by every other binding that projects to
+      it.  An unbound state or a missing variable keys as a sentinel
+      (recomputing it raises the same error), and only completed
+      groundings are stored.  A quantifier reached with no binding at
+      all (an outermost one) is reached once, so it skips the key.
+
+    The recursion threads two *mutable* binding environments, restoring
+    each binding on exit instead of copying the dict per instantiation.
     """
 
-    __slots__ = ("universe", "domain", "pos", "neg", "_cmps", "_memos")
+    __slots__ = ("universe", "domain", "pos", "neg", "_cmps", "_entries", "_classes")
 
     def __init__(self, universe, domain, atom):
         self.universe = universe
@@ -118,7 +142,9 @@ class _Grounder:
         self.pos = tuple(fvar(atom(u)) for u in universe)
         self.neg = tuple(fnot(v) for v in self.pos)
         self._cmps = {}
-        self._memos = {}  # id(quantifier node) -> (reads, value vars, memo)
+        # id(quantifier node) -> (free reads, free value vars, classes, memo)
+        self._entries = {}
+        self._classes = {}  # frozenset of (var, is prog) reads -> classes
 
     def _cmp_fn(self, node):
         # keyed by node identity: the assertion tree outlives the pass,
@@ -135,26 +161,63 @@ class _Grounder:
             self._cmps[id(node)] = fn
         return fn
 
-    def _projection(self, node, sigma, delta):
-        """``node``'s memo and the key of the current bindings in it: the
-        values of its free reads in ``sigma`` and of its free value
-        variables in ``delta``, ``_MISSING`` for whatever is unbound."""
-        entry = self._memos.get(id(node))
+    def _entry(self, node):
+        """``node``'s per-pass entry: its free reads as ``(state, var, is
+        prog)``, its free value variables, its classes (``None`` for a
+        value quantifier) and its projection memo."""
+        entry = self._entries.get(id(node))
         if entry is None:
-            reads = tuple(
-                (r.state, r.var, isinstance(r, HProg)) for r in node.free_reads()
-            )
-            entry = (reads, tuple(node.free_value_vars()), {})
-            self._memos[id(node)] = entry
-        reads, value_vars, memo = entry
-        key = []
-        for state, var, prog in reads:
-            phi = sigma.get(state, _MISSING)
-            if phi is not _MISSING:
-                phi = (phi.prog if prog else phi.log).get(var, _MISSING)
-            key.append(phi)
-        key.extend(delta.get(name, _MISSING) for name in value_vars)
-        return memo, tuple(key)
+            self._scan(node)
+            entry = self._entries[id(node)]
+        return entry
+
+    def _scan(self, node):
+        """``node``'s free reads and free value variables, recording the
+        entry of every quantifier node inside it on the way: one walk of
+        the subtree serves all its nested quantifiers."""
+        if isinstance(node, SCmp):
+            reads = {(state, var, True) for state, var in node.prog_lookups()}
+            reads.update((state, var, False) for state, var in node.log_lookups())
+            return reads, node.free_value_vars()
+        if isinstance(node, (SAnd, SOr)):
+            reads, values = self._scan(node.left)
+            right_reads, right_values = self._scan(node.right)
+            return reads | right_reads, values | right_values
+        if not isinstance(node, _QUANTIFIERS):  # SBool
+            return frozenset(), frozenset()
+        reads, values = self._scan(node.body)
+        if isinstance(node, (SForallState, SExistsState)):
+            bound = node.state
+            own = frozenset((var, prog) for state, var, prog in reads if state == bound)
+            reads = {read for read in reads if read[0] != bound}
+            classes = self._partition(own)
+        else:
+            values = values - {node.var}
+            classes = None
+        self._entries[id(node)] = (tuple(reads), tuple(values), classes, {})
+        return reads, values
+
+    def _partition(self, own):
+        """The classes of the universe under the reads ``own`` of the
+        bound state: ``(representative, s_K, ¬s_K)`` triples."""
+        classes = self._classes.get(own)
+        if classes is None:
+            groups = {}  # projection -> member ids, in first-occurrence order
+            for i, u in enumerate(self.universe):
+                key = tuple(
+                    (u.prog if prog else u.log).get(var, _MISSING) for var, prog in own
+                )
+                groups.setdefault(key, []).append(i)
+            classes = []
+            for members in groups.values():
+                if len(members) == 1:
+                    sel, unsel = self.pos[members[0]], self.neg[members[0]]
+                else:
+                    sel = f_or(*(self.pos[i] for i in members))
+                    unsel = fnot(sel)
+                classes.append((self.universe[members[0]], sel, unsel))
+            classes = self._classes[own] = tuple(classes)
+        return classes
 
     def ground(self, node, sigma, delta):
         # semantic combinator wrappers around syntactic parts remain groundable
@@ -183,16 +246,24 @@ class _Grounder:
             return f_or(left, self.ground(node.right, sigma, delta))
         if not isinstance(node, _QUANTIFIERS):
             raise Unsupported("cannot ground %r" % (node,))
+        reads, value_vars, classes, memo = self._entry(node)
         if not sigma and not delta:  # outermost: reached once, nothing to share
-            return self._ground_quantifier(node, sigma, delta)
-        memo, key = self._projection(node, sigma, delta)
+            return self._ground_quantifier(node, classes, sigma, delta)
+        key = []
+        for state, var, prog in reads:
+            phi = sigma.get(state, _MISSING)
+            if phi is not _MISSING:
+                phi = (phi.prog if prog else phi.log).get(var, _MISSING)
+            key.append(phi)
+        key.extend(delta.get(name, _MISSING) for name in value_vars)
+        key = tuple(key)
         formula = memo.get(key)
         if formula is None:  # only completed groundings are stored
-            formula = memo[key] = self._ground_quantifier(node, sigma, delta)
+            formula = memo[key] = self._ground_quantifier(node, classes, sigma, delta)
         return formula
 
-    def _ground_quantifier(self, node, sigma, delta):
-        if isinstance(node, (SForallVal, SExistsVal)):
+    def _ground_quantifier(self, node, classes, sigma, delta):
+        if classes is None:
             name = node.var
             body = node.body
             universal = isinstance(node, SForallVal)
@@ -215,13 +286,16 @@ class _Grounder:
         body = node.body
         old = sigma.get(name, _MISSING)
         parts = []
-        if isinstance(node, SForallState):
-            lits, combine, inner = self.neg, fand, f_or
-        else:
-            lits, combine, inner = self.pos, f_or, fand
-        for i, u in enumerate(self.universe):
-            sigma[name] = u
-            parts.append(inner(lits[i], self.ground(body, sigma, delta)))
+        if isinstance(node, SForallState):  # ⋀_K (¬s_K ∨ ⟦B⟧[φ:=u_K])
+            for rep, _, unsel in classes:
+                sigma[name] = rep
+                parts.append(f_or(unsel, self.ground(body, sigma, delta)))
+            combine = fand
+        else:  # ⋁_K (s_K ∧ ⟦B⟧[φ:=u_K])
+            for rep, sel, _ in classes:
+                sigma[name] = rep
+                parts.append(fand(sel, self.ground(body, sigma, delta)))
+            combine = f_or
         if old is _MISSING:
             sigma.pop(name, None)  # empty universe: never bound
         else:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.assertions.entail import entails
+from repro.assertions.entail import EntailmentOracle, entails
 from repro.assertions.semantic import (
     TRUE_H,
     AndAssertion,
@@ -16,6 +16,7 @@ from repro.assertions.semantic import (
 from repro.assertions.sugar import box, emp_s, gni, low, not_emp_s
 from repro.assertions.syntax import (
     HLit,
+    HProg,
     HVar,
     SAnd,
     SBool,
@@ -40,7 +41,18 @@ from repro.solver.encode import (
     ground_assertion,
     satisfiable_sat,
 )
-from repro.solver.formula import FFalse, FTrue, f_or, fand, fnot, fvar
+from repro.solver.formula import (
+    FAnd,
+    FFalse,
+    FNot,
+    FOr,
+    FTrue,
+    FVar,
+    f_or,
+    fand,
+    fnot,
+    fvar,
+)
 from repro.values import IntRange
 
 from tests.strategies import hyper_assertions
@@ -120,13 +132,37 @@ class TestScaling:
         assert not entails_sat(low("x"), low("y"), states, big.domain)
 
 
-def reference_ground(node, universe, domain, sigma=None, delta=None):
+def reference_ground(node, universe, domain, sigma=None, delta=None, quotient=False):
     """Unmemoized grounding straight from the definitions: every binding
     of every quantifier grounds its body afresh, environments are copied
-    per instantiation and comparisons run through the interpreter.  The
-    projection-memoized grounder must return exactly this formula."""
+    per instantiation and comparisons run through the interpreter.
+
+    With ``quotient=False`` a state quantifier expands over every state
+    (``⋀_{u∈U} (¬m_u ∨ B[φ:=u])``), the plain formula the quotient must
+    agree with on every set.  With ``quotient=True`` it expands over the
+    classes of the universe under the body's reads of ``φ``, in order of
+    first occurrence, at each class's first member and guarded by the
+    class selector ``⋁_{u∈K} m_u`` — exactly the formula the
+    projection-memoized grounder must build."""
     sigma = dict(sigma or {})
     delta = dict(delta or {})
+    absent = object()
+
+    def classes(node):
+        if not quotient:
+            return [[u] for u in universe]
+        own = sorted(
+            (r.var, isinstance(r, HProg))
+            for r in node.body.free_reads()
+            if r.state == node.state
+        )
+        groups = {}
+        for u in universe:
+            key = tuple(
+                (u.prog if prog else u.log).get(var, absent) for var, prog in own
+            )
+            groups.setdefault(key, []).append(u)
+        return list(groups.values())
 
     def go(node, sigma, delta):
         if isinstance(node, AndAssertion):
@@ -163,17 +199,55 @@ def reference_ground(node, universe, domain, sigma=None, delta=None):
             return fand(*parts) if universal else f_or(*parts)
         if isinstance(node, (SForallState, SExistsState)):
             parts = []
-            for u in universe:
-                member = fvar(("member", u))
-                body = go(node.body, dict(sigma, **{node.state: u}), delta)
+            for members in classes(node):
+                selector = f_or(*(fvar(("member", u)) for u in members))
+                body = go(node.body, dict(sigma, **{node.state: members[0]}), delta)
                 if isinstance(node, SForallState):
-                    parts.append(f_or(fnot(member), body))
+                    parts.append(f_or(fnot(selector), body))
                 else:
-                    parts.append(fand(member, body))
+                    parts.append(fand(selector, body))
             return fand(*parts) if isinstance(node, SForallState) else f_or(*parts)
         raise Unsupported("cannot ground %r" % (node,))
 
     return go(node, sigma, delta)
+
+
+def truth_table(formula, universe):
+    """The formula's value on every ``S ⊆ universe`` as one bit mask:
+    bit ``b`` is its truth under ``m_u := (u ∈ S_b)``, where ``S_b``
+    holds the ``i``-th state iff bit ``i`` of ``b`` is set."""
+    subsets = 1 << len(universe)
+    full = (1 << subsets) - 1
+    atoms = {
+        ("member", u): sum(1 << b for b in range(subsets) if b >> i & 1)
+        for i, u in enumerate(universe)
+    }
+    seen = {}  # id(subformula) -> mask; the root keeps every id alive
+
+    def go(f):
+        mask = seen.get(id(f))
+        if mask is not None:
+            return mask
+        if isinstance(f, FTrue):
+            mask = full
+        elif isinstance(f, FFalse):
+            mask = 0
+        elif isinstance(f, FVar):
+            mask = atoms[f.name]
+        elif isinstance(f, FNot):
+            mask = full & ~go(f.operand)
+        elif isinstance(f, FAnd):
+            mask = full
+            for part in f.parts:
+                mask &= go(part)
+        else:
+            mask = 0
+            for part in f.parts:
+                mask |= go(part)
+        seen[id(f)] = mask
+        return mask
+
+    return go(formula)
 
 
 #: three state binders and two value binders over a 9-state universe:
@@ -188,10 +262,12 @@ class TestProjectionMemo:
     @given(st.integers(0, 2 ** 64 - 1))
     @settings(max_examples=150, deadline=None)
     def test_memo_is_exact(self, seed):
+        """The memo changes no formula: the grounder builds exactly what
+        the unmemoized quotient recursion builds."""
         assertion = gen_assertion(random.Random(seed), MEMO_CONFIG)
         states = MEMO_UNI.ext_states()
         grounded = ground_assertion(assertion, states, MEMO_UNI.domain)
-        expected = reference_ground(assertion, states, MEMO_UNI.domain)
+        expected = reference_ground(assertion, states, MEMO_UNI.domain, quotient=True)
         assert grounded == expected
         assert repr(grounded) == repr(expected)
 
@@ -203,14 +279,20 @@ class TestProjectionMemo:
         for phi in states[:4]:
             for v in MEMO_UNI.domain:
                 sigma, delta = {"p": phi}, {"v": v}
-                assert ground_assertion(
-                    open_body, states, MEMO_UNI.domain, sigma, delta
-                ) == reference_ground(open_body, states, MEMO_UNI.domain, sigma, delta)
+                grounded = ground_assertion(open_body, states, MEMO_UNI.domain, sigma, delta)
+                assert grounded == reference_ground(
+                    open_body, states, MEMO_UNI.domain, sigma, delta, quotient=True
+                )
+                assert truth_table(grounded, states) == truth_table(
+                    reference_ground(open_body, states, MEMO_UNI.domain, sigma, delta),
+                    states,
+                )
 
     def test_unbound_reads_key_as_missing(self):
         """The inner ``∀⟨r⟩`` is memoized with an unbound state or a
-        missing variable in its key: reading it still raises, and a
-        body that never reads it (short-circuit) grounds exactly."""
+        missing variable in its key, and ``∀⟨p⟩`` partitions on a missing
+        variable: reading it still raises, and a body that never reads it
+        (short-circuit) grounds exactly."""
         states = MEMO_UNI.ext_states()
 
         def nested(body):
@@ -228,13 +310,14 @@ class TestProjectionMemo:
             SAnd(SCmp("==", pv("r", "x"), HLit(5)), SCmp("==", pv("p", "nope"), HLit(0)))
         )
         assert ground_assertion(unread, states, MEMO_UNI.domain) == reference_ground(
-            unread, states, MEMO_UNI.domain
+            unread, states, MEMO_UNI.domain, quotient=True
         )
 
     def test_gni_witness_body_grounds_once_per_projection(self, monkeypatch):
-        """On the 8-state h,l,y universe ``∃⟨φ⟩`` reads only ``φ1(h)`` and
-        ``φ2(l)``: 4 distinct projections of the 64 outer bindings, so its
-        body is grounded for 4 × 8 witness candidates, not 64 × 8."""
+        """On the 8-state h,l,y universe ``∀⟨φ1⟩`` has 2 classes (it reads
+        ``h``), ``∀⟨φ2⟩`` has 2 (it reads ``l``), and ``∃⟨φ⟩``'s body is
+        grounded at 4 class representatives (``h`` and ``l``) for each of
+        the 4 outer projections: 2·2·4 groundings, not 8·8·8."""
         uni = Universe(["h", "l", "y"], IntRange(0, 1))
         states = uni.ext_states()
         assert len(states) == 8
@@ -250,5 +333,74 @@ class TestProjectionMemo:
 
         monkeypatch.setattr(encode._Grounder, "ground", counting)
         grounded = ground_assertion(post, states, uni.domain)
-        assert len(calls) <= 4 * len(states)
-        assert grounded == reference_ground(post, states, uni.domain)
+        assert len(calls) <= 2 * 2 * 4
+        assert grounded == reference_ground(post, states, uni.domain, quotient=True)
+        assert truth_table(grounded, states) == truth_table(
+            reference_ground(post, states, uni.domain), states
+        )
+
+
+#: a 4-state universe next to the 9-state one: classes there are often
+#: singletons or the whole universe
+SMALL_CONFIG = GenConfig(
+    pvars=("x", "y"), lo=0, hi=1, state_names=("p", "q", "r"), max_assertion_depth=5
+)
+SMALL_UNI = Universe(["x", "y"], IntRange(0, 1))
+
+
+class TestQuotient:
+    @pytest.mark.parametrize(
+        "config, uni", [(MEMO_CONFIG, MEMO_UNI), (SMALL_CONFIG, SMALL_UNI)]
+    )
+    @given(seed=st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_quotient_agrees_with_plain_on_every_subset(self, config, uni, seed):
+        """The class form is exact: on every ``S ⊆ U`` (512 subsets of the
+        9-state universe) it has the truth value of the per-state
+        expansion."""
+        assertion = gen_assertion(random.Random(seed), config)
+        states = uni.ext_states()
+        assert len(states) <= 10
+        grounded = ground_assertion(assertion, states, uni.domain)
+        plain = reference_ground(assertion, states, uni.domain)
+        assert truth_table(grounded, states) == truth_table(plain, states)
+
+    def test_selectors_are_shared(self):
+        """Each class selector is one formula object, whichever
+        quantifier node uses it."""
+        states = MEMO_UNI.ext_states()
+        grounded = ground_assertion(low("x") & low("x"), states, MEMO_UNI.domain)
+        selectors = [
+            part.operand
+            for part in _subformulas(grounded)
+            if isinstance(part, FNot) and isinstance(part.operand, FOr)
+        ]
+        assert len(selectors) >= 2
+        assert len({id(s) for s in selectors}) == len(MEMO_UNI.domain)
+
+    def test_sat_oracle_counterexample_on_quotiented_refutation(self):
+        """A ``sat`` oracle decodes a real counterexample set from a model
+        of the quotiented query: class selectors are disjunctions of
+        membership atoms, so the model is still a set of states."""
+        uni = Universe(["h", "l", "y"], IntRange(0, 1))
+        states = uni.ext_states()
+        oracle = EntailmentOracle(states, uni.domain, method="sat")
+        post = gni("h", "l")
+        assert not oracle.entails(not_emp_s, post)
+        cex = oracle.find_counterexample(not_emp_s, post)
+        assert cex is not None
+        assert not_emp_s.holds(cex, uni.domain)
+        assert not post.holds(cex, uni.domain)
+
+
+def _subformulas(formula):
+    """Every subformula occurrence, parents before children."""
+    out, stack = [], [formula]
+    while stack:
+        f = stack.pop()
+        out.append(f)
+        if isinstance(f, FNot):
+            stack.append(f.operand)
+        elif isinstance(f, (FAnd, FOr)):
+            stack.extend(f.parts)
+    return out

@@ -81,6 +81,20 @@ class TestCNF:
         cnf = tseitin(f)
         assert cnf.num_vars < 50
 
+    def test_shared_subformula_defined_once(self):
+        """A subformula occurring k times (here k structurally equal
+        copies) gets one definition variable, not k."""
+        k = 5
+        f = fand(
+            *[f_or(fand(fvar("a"), fnot(fvar("b"))), fvar(("c", i))) for i in range(k)]
+        )
+        cnf = tseitin(f)
+        # atoms a, b, c_0..c_4; one for the shared conjunction; k
+        # disjunctions; the root conjunction
+        assert cnf.num_vars == (2 + k) + 1 + k + 1
+        shared = cnf.lits[fand(fvar("a"), fnot(fvar("b")))]
+        assert sum(1 for clause in cnf.clauses if -shared in clause) == 2 + k
+
     @given(formulas())
     @settings(max_examples=150, deadline=None)
     def test_tseitin_equisatisfiable(self, formula):

@@ -562,15 +562,15 @@ class Session:
         inline one — proof trees and witnesses included; see
         :func:`~repro.api.sharding.verify_many_sharded` for the
         restrictions (syntactic tasks, default-constructible backend
-        chain).
+        chain).  ``shards`` is rejected without ``sharding="process"``.
         """
         if sharding == "process":
             from .sharding import verify_many_sharded
 
             if max_workers is not None:
-                # mirror the thread path: a caller-supplied worker count
-                # is honored as the shard count, and a conflicting pair
-                # is an error — never silently ignored
+                # a caller-supplied worker count is honored as the
+                # shard count, and a conflicting pair is an error —
+                # never silently ignored
                 if shards is None:
                     shards = max_workers
                 elif max_workers != shards:
@@ -581,21 +581,15 @@ class Session:
             return verify_many_sharded(
                 self, tasks, shards=shards, backends=backends, budgets=budgets
             )
-        if sharding not in (None, "thread"):
+        if sharding is not None:
             raise ValueError(
-                "unknown sharding mode %r (expected None, 'thread' or 'process')"
-                % (sharding,)
+                "unknown sharding mode %r (expected None or 'process')" % (sharding,)
             )
-        if sharding == "thread" and shards is not None:
-            # "thread" sharding is just the worker-pool path: honor the
-            # shard count rather than silently running sequentially
-            if max_workers is None:
-                max_workers = shards
-            elif max_workers != shards:
-                raise ValueError(
-                    "conflicting worker counts: max_workers=%r vs shards=%r"
-                    % (max_workers, shards)
-                )
+        if shards is not None:
+            raise ValueError(
+                "shards=%r needs sharding='process' (a thread pool takes "
+                "max_workers=)" % (shards,)
+            )
         normalized = [self.task(t) for t in tasks]
         return self._run_batch(normalized, max_workers, backends, budgets)
 

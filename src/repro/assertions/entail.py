@@ -24,8 +24,7 @@ Brute-force enumeration evaluates both assertions through the
 compile-once layer (:func:`repro.compile.compile_assertion`): each
 assertion is compiled to a whole-set closure once per query and every
 subset pays direct closure calls — same verdicts as the interpreted
-``holds``, which the property tests cross-check.  Pass
-``compile_cache=False`` to force interpreted evaluation.
+``holds``, which the property tests cross-check.
 """
 
 import threading
@@ -35,9 +34,7 @@ from ..util import iter_subsets
 
 
 def _holds_fn(assertion, domain, compile_cache):
-    """``S -> bool`` for one assertion: compiled unless disabled."""
-    if compile_cache is False:
-        return lambda subset: assertion.holds(subset, domain)
+    """``S -> bool`` for one assertion, compiled through ``compile_cache``."""
     from ..compile.assertion import compile_assertion
 
     return compile_assertion(assertion, domain, compile_cache).holds
@@ -64,8 +61,7 @@ def find_entailment_counterexample(
     Pass ``presorted=True`` when ``universe`` is already in canonical
     (``repr``-sorted) order — e.g. :attr:`EntailmentOracle.universe` — to
     skip the per-call sort.  ``compile_cache`` selects the compile cache
-    for the assertion closures (``None``: module-wide cache; ``False``:
-    interpreted evaluation).
+    for the assertion closures (``None``: module-wide cache).
     """
     pre_holds = _holds_fn(pre, domain, compile_cache)
     post_holds = _holds_fn(post, domain, compile_cache)

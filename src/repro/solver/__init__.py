@@ -5,12 +5,15 @@ authors' Hypra verifier on Boogie/Z3).  This environment has no Z3, so we
 build the analogous pipeline from scratch:
 
 1. :mod:`repro.solver.formula` — propositional formula AST;
-2. :mod:`repro.solver.cnf`     — Tseitin transformation to CNF;
-3. :mod:`repro.solver.sat`     — a CDCL solver over two-watched-literal
-   unit propagation;
+2. :mod:`repro.solver.cnf`     — the one Tseitin encoder;
+3. :mod:`repro.solver.sat`     — the one CDCL search over two-watched-
+   literal unit propagation (:class:`IncrementalSolver`, with
+   :class:`SATSolver` as its one-shot subclass), with no settable
+   options;
 4. :mod:`repro.solver.encode`  — grounding of syntactic hyper-assertions
    over a finite universe into propositional formulas over set-membership
-   atoms, reducing ``P |= Q`` to UNSAT of ``P ∧ ¬Q``.
+   atoms, reducing ``P |= Q`` to UNSAT of ``P ∧ ¬Q``, one query at a
+   time or on a persistent solver.
 
 The encoder's verdicts are cross-validated against brute-force subset
 enumeration in ``tests/solver/``.

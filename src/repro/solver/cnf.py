@@ -1,4 +1,4 @@
-"""Tseitin transformation to CNF.
+"""Tseitin transformation to CNF — the solver layer's one encoder.
 
 Atoms are mapped to positive integers; literals are signed integers in
 DIMACS style.  Each distinct non-atomic subformula gets one definition
@@ -6,9 +6,13 @@ variable and its defining clauses, keeping the CNF linear in the size of
 the formula's DAG (a naive distribution would be exponential).  A
 subformula that occurs many times — grounding shares quantifier bodies
 and class selectors among many parents — is encoded once per
-:class:`CNF`: the encodings are memoized structurally, as
-:meth:`repro.solver.encode.IncrementalEntailment._lit` does for the
-persistent solver.
+:class:`CNF`: the encodings are memoized structurally.
+
+One-shot solves (:func:`tseitin`, :func:`~repro.solver.sat.solve_formula`)
+encode into a fresh :class:`CNF`.  The persistent entailment oracle
+(:class:`~repro.solver.encode.IncrementalEntailment`) keeps one
+:class:`CNF` for its lifetime, so its atom map and memo span queries,
+and moves the clauses each query adds into its solver.
 """
 
 from dataclasses import dataclass, field

@@ -22,6 +22,9 @@ instead of ``8·8·8``: ``φ1`` reads only ``h``, ``φ2`` only ``l`` and
 
 ``P |= Q`` then reduces to UNSAT of ``⟦P⟧ ∧ ¬⟦Q⟧`` — the same shape of
 reduction the Hypra verifier performs with Z3, here with our own CDCL solver.
+Every query, one-shot (:func:`entails_sat`, :func:`entailment_model`) or
+incremental (:class:`IncrementalEntailment`), is Tseitin-encoded by
+:mod:`repro.solver.cnf` and decided by :mod:`repro.solver.sat`.
 
 The grounding pass is compile-once per query: each distinct comparison
 leaf is lowered to a closure (:func:`repro.compile.hyper.compile_hexpr`)
@@ -35,7 +38,7 @@ its free ``φ(x)`` lookups and free value variables — and the result is
 shared by every binding with that projection.
 The solver-facing entry points additionally key their atoms by the
 state's *interned id* (its position in the universe tuple), so the
-formula, CNF and DPLL layers hash machine ints instead of whole
+formula, CNF and SAT layers hash machine ints instead of whole
 extended states.
 """
 
@@ -55,8 +58,8 @@ from ..assertions.syntax import (
 import threading
 
 from ..compile.hyper import compile_cmp, compile_hexpr
-from ..errors import SolverError
-from .formula import FAnd, FFalse, FNot, FOr, FTrue, FVar, f_or, fand, fnot, fvar
+from .cnf import CNF, _encode
+from .formula import FFalse, FTrue, f_or, fand, fnot, fvar
 from .sat import IncrementalSolver, solve_formula
 
 _MISSING = object()
@@ -75,7 +78,7 @@ def _membership_atom(state):
 def _interned_atom(universe):
     """Membership atoms keyed by interned id — ``("m", i)`` for the
     ``i``-th state of ``universe`` — so every downstream dictionary
-    (formula dedup, CNF mapping, DPLL assignments and watch lists)
+    (formula dedup, CNF mapping, solver assignments and watch lists)
     hashes a small int instead of a whole extended state."""
     index = {u: ("m", i) for i, u in enumerate(universe)}
     return index.__getitem__
@@ -309,7 +312,16 @@ def entails_sat(pre, post, universe, domain, atom=None):
     Encodes ``⟦pre⟧ ∧ ¬⟦post⟧`` and reports entailment iff it is UNSAT.
     Raises :class:`Unsupported` when either side cannot be grounded.
     With ``atom=None`` the membership atoms are keyed by interned state
-    id (they never leave this function).
+    id (they never leave this module).
+    """
+    return entailment_model(pre, post, universe, domain, atom) is None
+
+
+def entailment_model(pre, post, universe, domain, atom=None):
+    """A counterexample set ``S`` with ``pre(S) ∧ ¬post(S)`` via SAT.
+
+    Returns a frozenset of extended states, or ``None`` when entailed;
+    raises :class:`Unsupported` like :func:`entails_sat`.
     """
     if not isinstance(pre, Assertion) or not isinstance(post, Assertion):
         raise Unsupported("operands must be assertions")
@@ -320,7 +332,10 @@ def entails_sat(pre, post, universe, domain, atom=None):
         ground_assertion(pre, universe, domain, atom=atom),
         fnot(ground_assertion(post, universe, domain, atom=atom)),
     )
-    return solve_formula(query) is None
+    model = solve_formula(query)
+    if model is None:
+        return None
+    return frozenset(u for u in universe if model.get(atom(u), False))
 
 
 class IncrementalEntailment:
@@ -333,7 +348,7 @@ class IncrementalEntailment:
     :class:`~repro.solver.sat.IncrementalSolver` alive for the
     universe's lifetime and exploits two structural facts:
 
-    1. the Tseitin encoding (:func:`~repro.solver.cnf.tseitin`) emits
+    1. the Tseitin encoding (:mod:`repro.solver.cnf`) emits
        *biconditional* definitions — each definition clause set is a
        conservative extension, true in every model — so definitional
        clauses can be added once, globally, and shared by all queries;
@@ -343,10 +358,12 @@ class IncrementalEntailment:
        clauses learned refuting one query carry over undiminished to
        the next.
 
-    Subformula encodings are memoized structurally (formulas are frozen
-    dataclasses), so shared subtrees across queries — the common case:
-    the same ``pre`` against many ``post``\\ s — encode once; grounded
-    formulas are additionally cached per assertion object, skipping the
+    Each query is encoded into one long-lived :class:`~repro.solver.cnf.CNF`
+    whose atom map and subformula memo persist, so shared subtrees
+    across queries — the common case: the same ``pre`` against many
+    ``post``\\ s — encode once; the definition clauses a query adds are
+    handed to the solver and dropped from the CNF.  Grounded formulas
+    are additionally cached per assertion object, skipping the
     grounding walk entirely on repeats.  Verdicts are identical to
     :func:`entails_sat`, which the solver tests assert; thread-safe
     (one lock per instance, matching the oracle's sharing).
@@ -357,8 +374,7 @@ class IncrementalEntailment:
         self.domain = domain
         self._atom = _interned_atom(self.universe)
         self._solver = IncrementalSolver()
-        self._atom_vars = {}  # atom key -> solver variable
-        self._lits = {}  # formula (structural) -> solver literal
+        self._cnf = CNF()  # atom map + subformula memo; clauses drained per query
         self._grounded = {}  # id(assertion) -> (assertion ref, formula)
         self._lock = threading.Lock()
         self.queries = 0
@@ -374,44 +390,6 @@ class IncrementalEntailment:
         self._grounded[id(assertion)] = (assertion, formula)
         return formula
 
-    def _lit(self, formula):
-        """The solver literal defined (once) to be ``formula``."""
-        lit = self._lits.get(formula)
-        if lit is not None:
-            return lit
-        solver = self._solver
-        if isinstance(formula, FVar):
-            var = self._atom_vars.get(formula.name)
-            if var is None:
-                var = solver.new_var()
-                self._atom_vars[formula.name] = var
-            lit = var
-        elif isinstance(formula, FTrue):
-            lit = solver.new_var()
-            solver.add_clause((lit,))
-        elif isinstance(formula, FFalse):
-            var = solver.new_var()
-            solver.add_clause((-var,))
-            lit = var
-        elif isinstance(formula, FNot):
-            lit = -self._lit(formula.operand)
-        elif isinstance(formula, (FAnd, FOr)):
-            parts = [self._lit(part) for part in formula.parts]
-            var = solver.new_var()
-            if isinstance(formula, FAnd):
-                for part in parts:
-                    solver.add_clause((-var, part))
-                solver.add_clause(tuple(-part for part in parts) + (var,))
-            else:
-                solver.add_clause((-var,) + tuple(parts))
-                for part in parts:
-                    solver.add_clause((-part, var))
-            lit = var
-        else:
-            raise SolverError("cannot encode %r" % (formula,))
-        self._lits[formula] = lit
-        return lit
-
     def entails(self, pre, post):
         """``pre |= post`` over subsets of the universe.
 
@@ -423,35 +401,12 @@ class IncrementalEntailment:
             raise Unsupported("operands must be assertions")
         with self._lock:
             query = fand(self._ground(pre), fnot(self._ground(post)))
-            root = self._lit(query)
+            cnf = self._cnf
+            root = _encode(query, cnf)
+            solver = self._solver
+            solver.ensure_vars(cnf.num_vars)
+            for clause in cnf.clauses:
+                solver.add_clause(clause)
+            cnf.clauses.clear()
             self.queries += 1
-            return self._solver.solve(assumptions=(root,)) is None
-
-
-def entailment_model(pre, post, universe, domain, atom=None):
-    """A counterexample set ``S`` with ``pre(S) ∧ ¬post(S)`` via SAT.
-
-    Returns a frozenset of extended states, or ``None`` when entailed.
-    """
-    universe = tuple(universe)
-    if atom is None:
-        atom = _interned_atom(universe)
-    query = fand(
-        ground_assertion(pre, universe, domain, atom=atom),
-        fnot(ground_assertion(post, universe, domain, atom=atom)),
-    )
-    model = solve_formula(query)
-    if model is None:
-        return None
-    return frozenset(u for u in universe if model.get(atom(u), False))
-
-
-def satisfiable_sat(assertion, universe, domain, atom=None):
-    """Whether some subset of ``universe`` satisfies ``assertion`` (SAT)."""
-    universe = tuple(universe)
-    if atom is None:
-        atom = _interned_atom(universe)
-    return (
-        solve_formula(ground_assertion(assertion, universe, domain, atom=atom))
-        is not None
-    )
+            return solver.solve(assumptions=(root,)) is None

@@ -2,13 +2,15 @@
 
 The search is conflict-driven clause learning: two-watched-literal unit
 propagation, first-UIP conflict analysis, non-chronological
-backjumping, VSIDS-style variable activities seeded with Jeroslow-Wang
-scores, phase saving, Luby-paced restarts and LBD-based learned-clause-
-database reduction.  The search runs on an explicit trail rather than
-Python recursion, so deep splits on hundreds of variables cannot hit the
+backjumping, VSIDS-style variable activities seeded from the clauses
+as they arrive (each clause adds ``2**-len(clause)`` to its variables),
+phase saving, Luby-paced restarts and LBD-based learned-clause-database
+reduction.  Restarts and reduction are always on; neither moves a
+verdict.  The search runs on an explicit trail rather than Python
+recursion, so deep splits on hundreds of variables cannot hit the
 interpreter's recursion limit.
 
-The CDCL machinery lives in :class:`IncrementalSolver`, a *persistent*
+There is one search, in :class:`IncrementalSolver`, a *persistent*
 solver: clauses, watches, activities, saved phases and — decisively —
 learned clauses survive across ``solve()`` calls, and each call may
 pass *assumptions* (literals the search treats as fixed decisions,
@@ -19,15 +21,15 @@ per-query markers, so everything learned answering one query
 accelerates the next — the entailment oracle
 (:class:`~repro.solver.encode.IncrementalEntailment`) exploits exactly
 this across the thousands of near-identical queries a chain run
-issues.  :class:`SATSolver` is the one-shot facade over the same
-machinery (plus root pure-literal elimination, which is only sound
-when no further clauses can arrive).
+issues.  :class:`SATSolver` is the one-shot subclass: it loads one
+clause set and adds root pure-literal elimination, which is only sound
+when no further clauses can arrive.
 
 Learned clauses are consequences of the original formula *plus* the
 root pure-literal assignments; since fixing a pure literal preserves
 satisfiability, verdicts are unaffected.  The solver is cross-validated
 against brute-force truth-table enumeration in
-``tests/solver/test_sat.py``, and restart/reduction invariance plus
+``tests/solver/test_sat.py``, and against a backtracking reference plus
 assumption-incremental correctness in ``tests/checker/test_parallel.py``.
 """
 
@@ -71,9 +73,8 @@ def _luby(x):
 class IncrementalSolver:
     """A persistent CDCL solver: clauses in, many queries out.
 
-    Unlike :class:`SATSolver`, which is built around one clause set and
-    one ``solve()``, this solver accumulates state for a *lifetime* of
-    queries: ``add_clause`` grows the database between solves (at the
+    The solver accumulates state for a *lifetime* of queries:
+    ``add_clause`` grows the database between solves (at the
     root level — clauses are simplified against permanent root facts on
     the way in), and ``solve(assumptions=...)`` decides satisfiability
     under a set of fixed literals without asserting them, leaving every
@@ -87,26 +88,24 @@ class IncrementalSolver:
     every future query — the property the incremental entailment oracle
     is built on.
 
-    ``restarts`` enables Luby-paced restarts (the search abandons its
-    current decision stack after a conflict budget and retries with the
-    activities it has learned — saved phases make this cheap);
-    ``reduce_db`` enables periodic deletion of the worst half of the
-    learned clauses, ranked by literal-block distance (LBD — the number
-    of distinct decision levels in the clause; "glue" clauses with LBD
+    Restarts are Luby-paced: the search abandons its current decision
+    stack after a conflict budget and retries with the activities it
+    has learned (saved phases make this cheap).  Clause-database
+    reduction periodically deletes the worst half of the learned
+    clauses, ranked by literal-block distance (LBD — the number of
+    distinct decision levels in the clause; "glue" clauses with LBD
     <= 2, binary clauses and clauses currently locked as reasons are
-    never deleted).  Both default on and neither affects verdicts,
-    which ``tests/checker/test_parallel.py`` asserts.
+    never deleted).
 
-    All tie-breaking is deterministic (no randomness anywhere), so
-    verdicts, models and stats are reproducible run to run.
+    ``stats`` counts ``decisions``, ``propagations``, root
+    ``pure_literals`` (:class:`SATSolver` only), learned ``conflicts``,
+    ``restarts`` and ``learned_deleted`` clauses.  All tie-breaking is
+    deterministic (no randomness anywhere), so verdicts, models and
+    stats are reproducible run to run.
     """
 
-    def __init__(self, restarts=True, reduce_db=True, stats=None,
-                 activity=None, phase=None, seed_scores=True):
+    def __init__(self):
         self.num_vars = 0
-        self.restarts = restarts
-        self.reduce_db = reduce_db
-        self.seed_scores = seed_scores
         self.assign = {}
         self.level = {}
         self.reason = {}
@@ -114,8 +113,8 @@ class IncrementalSolver:
         self.trail_lim = []  # trail length at the moment of each decision
         self.qhead = 0
         self.watch = defaultdict(list)
-        self.activity = activity if activity is not None else {}
-        self.phase = phase if phase is not None else {}
+        self.activity = {}
+        self.phase = {}
         self.heap = []
         self.var_inc = 1.0
         self.learned = []  # learned clauses eligible for reduction
@@ -123,27 +122,21 @@ class IncrementalSolver:
         self.unsat = False
         self.reduce_limit = _REDUCE_BASE
         self.conflicts_since_reduce = 0
-        if stats is None:
-            stats = {}
-        for key in ("decisions", "propagations", "pure_literals",
-                    "conflicts", "restarts", "learned_deleted"):
-            stats.setdefault(key, 0)
-        self.stats = stats
+        self.stats = dict.fromkeys(
+            ("decisions", "propagations", "pure_literals", "conflicts",
+             "restarts", "learned_deleted"),
+            0,
+        )
 
     # -- variables ---------------------------------------------------------
     def ensure_vars(self, count):
         """Grow the variable universe to ``1..count``."""
         for var in range(self.num_vars + 1, count + 1):
-            self.activity.setdefault(var, 0.0)
-            self.phase.setdefault(var, True)
-            heapq.heappush(self.heap, (-self.activity[var], var))
+            self.activity[var] = 0.0
+            self.phase[var] = True
+            heapq.heappush(self.heap, (0.0, var))
         if count > self.num_vars:
             self.num_vars = count
-
-    def new_var(self):
-        """Allocate and return a fresh variable."""
-        self.ensure_vars(self.num_vars + 1)
-        return self.num_vars
 
     # -- database ----------------------------------------------------------
     def add_clause(self, lits):
@@ -173,7 +166,7 @@ class IncrementalSolver:
             elif value == (lit > 0):
                 return True  # satisfied by a root fact: satisfied forever
             # else: false at root, drop the literal
-        if self.seed_scores and kept:
+        if kept:
             weight = 2.0 ** -len(kept)
             for lit in kept:
                 var = abs(lit)
@@ -371,8 +364,7 @@ class IncrementalSolver:
         self.learned = [c for c in self.learned if id(c) not in dropped]
         self.stats["learned_deleted"] += len(drop)
 
-    # -- one-shot hooks (SATSolver facade only) ------------------------------
-    def propagate_root(self):
+    def _propagate_root(self):
         """Propagate pending root units; ``False`` iff the database is
         now permanently unsatisfiable."""
         if self.unsat:
@@ -381,16 +373,6 @@ class IncrementalSolver:
             self.unsat = True
             return False
         return True
-
-    def assume_root(self, lit):
-        """Record a root fact that is *not* a consequence of the
-        database (the one-shot facade's pure literals: they satisfy
-        every clause they occur in and their complements occur nowhere,
-        so recording them can neither imply units nor conflict).
-        Unsound if clauses are added afterwards — incremental users
-        never call this."""
-        self._record(lit, None)
-        self.qhead = len(self.trail)
 
     # -- search ------------------------------------------------------------
     def solve(self, assumptions=(), max_decisions=5_000_000):
@@ -403,15 +385,11 @@ class IncrementalSolver:
         way, so the solver is immediately ready for more clauses or the
         next query.
         """
-        if self.unsat:
-            return None
         self._cancel_until(0)
-        if not self.propagate_root():
+        if not self._propagate_root():
             return None
         restart_num = 0
-        conflict_budget = (
-            _RESTART_BASE * _luby(restart_num) if self.restarts else None
-        )
+        conflict_budget = _RESTART_BASE * _luby(restart_num)
         conflicts_here = 0
         decisions_here = 0
         stats = self.stats
@@ -433,12 +411,10 @@ class IncrementalSolver:
                     self.lbd[id(learned)] = lbd
                 self._record(learned[0], learned)
                 stats["propagations"] += 1
-                if (self.reduce_db
-                        and self.conflicts_since_reduce >= self.reduce_limit):
+                if self.conflicts_since_reduce >= self.reduce_limit:
                     self._reduce()
                 continue
-            if (conflict_budget is not None
-                    and conflicts_here >= conflict_budget):
+            if conflicts_here >= conflict_budget:
                 stats["restarts"] += 1
                 restart_num += 1
                 conflict_budget = _RESTART_BASE * _luby(restart_num)
@@ -478,119 +454,65 @@ class IncrementalSolver:
             self._record(lit, None)
 
 
-class SATSolver:
-    """Decide satisfiability of a CNF given as integer-literal clauses.
+class SATSolver(IncrementalSolver):
+    """Decide satisfiability of one CNF given as integer-literal clauses.
 
-    ``stats`` counts ``decisions``, ``propagations``, root
-    ``pure_literals``, learned ``conflicts``, ``restarts`` and
-    ``learned_deleted`` clauses.
-
-    ``restarts`` / ``reduce_db`` toggle the CDCL search's Luby restarts
-    and learned-clause-database reduction (both default on, neither
-    affects verdicts); ``benchmarks/bench_solver.py`` measures the
-    with-vs-without deltas.
+    The clauses load through :meth:`~IncrementalSolver.add_clause`;
+    :meth:`solve` then fixes root pure literals and runs the shared
+    search.
     """
 
-    def __init__(self, clauses, num_vars, restarts=True, reduce_db=True):
-        self.num_vars = num_vars
-        self.restarts = restarts
-        self.reduce_db = reduce_db
-        self.clauses = []
+    def __init__(self, clauses, num_vars):
+        super().__init__()
+        self.ensure_vars(num_vars)
         for clause in clauses:
-            clause = tuple(dict.fromkeys(clause))
-            if any(-lit in clause for lit in clause):
-                continue  # tautology
-            self.clauses.append(clause)
-        self.stats = {
-            "decisions": 0,
-            "propagations": 0,
-            "pure_literals": 0,
-            "conflicts": 0,
-            "restarts": 0,
-            "learned_deleted": 0,
-        }
-        self._score_variables()
-
-    def _score_variables(self):
-        """Jeroslow-Wang scores seed the CDCL activities and phases.
-
-        Each literal earns ``2**-len(clause)`` per clause it occurs in;
-        a variable's initial activity is its higher-scoring phase's
-        score, which is also its initial preferred phase (ties prefer
-        positive).  Everything downstream — heap order, bumps, phase
-        saving — is deterministic, so models are reproducible.
-        """
-        scores = defaultdict(float)
-        for clause in self.clauses:
-            weight = 2.0 ** -len(clause)
-            for lit in clause:
-                scores[lit] += weight
-        self._activity = {}
-        self._saved_phase = {}
-        for var in range(1, self.num_vars + 1):
-            pos = scores.get(var, 0.0)
-            neg = scores.get(-var, 0.0)
-            self._activity[var] = max(pos, neg)
-            self._saved_phase[var] = pos >= neg
+            if not self.add_clause(clause):
+                break
 
     def solve(self, max_decisions=5_000_000):
-        """A satisfying assignment ``{var: bool}`` or ``None`` if UNSAT."""
-        result = self._solve_watched(max_decisions)
-        if result is None:
+        """A satisfying assignment ``{var: bool}`` over every variable,
+        or ``None`` if UNSAT."""
+        if self._propagate_root():
+            self._fix_pure_literals()
+        model = super().solve(max_decisions=max_decisions)
+        if model is None:
             return None
         # complete the assignment for unconstrained variables
         for v in range(1, self.num_vars + 1):
-            result.setdefault(v, False)
-        return result
+            model.setdefault(v, False)
+        return model
 
-    def _solve_watched(self, max_decisions):
-        """One-shot facade over :class:`IncrementalSolver`.
+    def _fix_pure_literals(self):
+        """Record root pure literals up to the fixpoint.
 
-        Loads the clause set, runs root propagation and the root
-        pure-literal fixpoint (sound here and only here: no further
-        clauses can arrive, so a literal pure now is pure forever),
-        then hands the search to the incremental machinery with the
-        Jeroslow-Wang-seeded activities and phases.
+        A literal occurring in one polarity only among the unsatisfied
+        clauses satisfies every clause it occurs in and its complement
+        occurs nowhere, so recording it can neither imply units nor
+        conflict.  Sound here and only here: no further clauses can
+        arrive, so a literal pure now is pure forever.  Every clause of
+        two or more literals sits on the watch lists; unit clauses are
+        root facts already.
         """
-        inc = IncrementalSolver(
-            restarts=self.restarts,
-            reduce_db=self.reduce_db,
-            stats=self.stats,
-            activity=self._activity,
-            phase=self._saved_phase,
-            seed_scores=False,  # activities arrive pre-seeded
-        )
-        inc.ensure_vars(self.num_vars)
-        for clause in self.clauses:
-            if not inc.add_clause(clause):
-                return None
-        if not inc.propagate_root():
-            return None
-        # root pure literals: they satisfy every clause they occur in and
-        # their complements occur nowhere, so recording them can neither
-        # imply units nor conflict (their negation's watch list is empty)
+        assign = self.assign
+        clauses = {
+            id(clause): clause
+            for watchers in self.watch.values() for clause in watchers
+        }.values()
         while True:
-            pures = [
-                lit for lit in self._pure_literals(inc.assign)
-                if abs(lit) not in inc.assign
-            ]
+            polarity = set()
+            for clause in clauses:
+                if any(assign.get(abs(l)) == (l > 0) for l in clause):
+                    continue
+                for lit in clause:
+                    if abs(lit) not in assign:
+                        polarity.add(lit)
+            pures = [lit for lit in polarity if -lit not in polarity]
             if not pures:
-                break
+                return
             for lit in pures:
-                inc.assume_root(lit)
+                self._record(lit, None)
                 self.stats["pure_literals"] += 1
-        return inc.solve(max_decisions=max_decisions)
-
-    def _pure_literals(self, assign):
-        """Literals occurring in one polarity only among unsatisfied clauses."""
-        polarity = set()
-        for clause in self.clauses:
-            if any(assign.get(abs(l)) == (l > 0) for l in clause):
-                continue
-            for lit in clause:
-                if abs(lit) not in assign:
-                    polarity.add(lit)
-        return [lit for lit in polarity if -lit not in polarity]
+            self.qhead = len(self.trail)
 
 
 def solve_cnf(cnf):

@@ -64,7 +64,7 @@ class TestPerTaskMethodTracking:
 class TestProcessShardingWorkerCounts:
     def test_conflicting_max_workers_rejected(self):
         """``sharding="process"`` must reject a conflicting caller count
-        exactly like the thread path (pre-fix: silently ignored)."""
+        (pre-fix: silently ignored)."""
         session = Session(["x"], 0, 1)
         with pytest.raises(ValueError, match="conflicting worker counts"):
             session.verify_many(
@@ -86,11 +86,11 @@ class TestProcessShardingWorkerCounts:
         assert report.all_verified
 
     def test_thread_conflict_still_rejected(self):
+        """Off the process path a shard count conflicts with the thread
+        pool's ``max_workers`` and is rejected, not ignored."""
         session = Session(["x"], 0, 1)
-        with pytest.raises(ValueError, match="conflicting worker counts"):
-            session.verify_many(
-                [WP_TASK], sharding="thread", shards=2, max_workers=3
-            )
+        with pytest.raises(ValueError, match="needs sharding='process'"):
+            session.verify_many([WP_TASK], shards=2, max_workers=3)
 
 
 class TestMaskTierEviction:

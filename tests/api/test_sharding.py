@@ -76,14 +76,17 @@ class TestShardedVerifyMany:
             fresh_session().verify_many(TASKS, sharding="process", shards=0)
 
     def test_thread_sharding_honors_shards(self):
-        report = fresh_session().verify_many(TASKS, sharding="thread", shards=2)
+        """Thread-pool batches take their worker count as ``max_workers=``;
+        ``sharding="thread"`` and a bare ``shards=`` are errors, never a
+        silent sequential run."""
+        report = fresh_session().verify_many(TASKS, max_workers=2)
         assert [r.verdict for r in report] == [
             r.verdict for r in fresh_session().verify_many(TASKS)
         ]
-        with pytest.raises(ValueError, match="conflicting worker counts"):
-            fresh_session().verify_many(
-                TASKS, sharding="thread", shards=2, max_workers=3
-            )
+        with pytest.raises(ValueError, match="unknown sharding"):
+            fresh_session().verify_many(TASKS, sharding="thread", shards=2)
+        with pytest.raises(ValueError, match="needs sharding='process'"):
+            fresh_session().verify_many(TASKS, shards=2)
 
     def test_custom_backends_rejected(self):
         from repro.api import ExhaustiveBackend

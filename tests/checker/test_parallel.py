@@ -11,8 +11,9 @@ Two layers under test, both with exact-equality obligations:
   cancellation test asserts the lowest-index-wins merge actually
   revokes later blocks (the counters are the observable).
 - :mod:`repro.solver.sat` — Luby restarts and LBD clause-DB reduction
-  are completeness-preserving search heuristics (verdicts must be
-  invariant under every toggle combination), and the assumption-based
+  are completeness-preserving search heuristics (verdicts must match a
+  plain backtracking reference, and both must actually fire on hard
+  instances), and the assumption-based
   :class:`~repro.solver.sat.IncrementalSolver` behind
   :class:`~repro.solver.encode.IncrementalEntailment` must agree with
   fresh per-query solves while retaining state across queries.
@@ -319,24 +320,65 @@ class TestRestartAndReductionInvariance:
             for clause in clauses
         )
 
-    def test_verdict_invariant_under_heuristic_toggles(self):
+    @staticmethod
+    def backtracking_sat(clauses, num_vars):
+        """Plain chronological backtracking over ``1..num_vars`` in order:
+        the reference the CDCL search must agree with.  A clause is
+        checked once its largest variable is assigned."""
+        by_last = [[] for _ in range(num_vars + 1)]
+        for clause in clauses:
+            by_last[max((abs(l) for l in clause), default=0)].append(clause)
+        assign = {}
+
+        def search(var):
+            if var > num_vars:
+                return True
+            for value in (False, True):
+                assign[var] = value
+                if all(
+                    any(assign[abs(l)] == (l > 0) for l in clause)
+                    for clause in by_last[var]
+                ) and search(var + 1):
+                    return True
+            return False
+
+        return not by_last[0] and search(1)
+
+    def test_verdicts_match_backtracking_reference(self):
+        """The seeded CNFs are all UNSAT (their unit clauses clash), so
+        each is checked again without its units, which leaves some SAT
+        and puts the models to the test too."""
         rng = random.Random(42)
+        verdicts = []
         for _ in range(25):
             clauses, num_vars = self.random_cnf(rng)
-            verdicts = {}
-            for restarts in (False, True):
-                for reduce_db in (False, True):
-                    solver = SATSolver(
-                        clauses,
-                        num_vars,
-                        restarts=restarts,
-                        reduce_db=reduce_db,
-                    )
-                    model = solver.solve()
-                    verdicts[(restarts, reduce_db)] = model is not None
-                    if model is not None:
-                        assert self.satisfies(clauses, model)
-            assert len(set(verdicts.values())) == 1, verdicts
+            wide = [clause for clause in clauses if len(clause) > 1]
+            for cnf in (clauses, wide):
+                model = SATSolver(cnf, num_vars).solve()
+                assert (model is not None) == self.backtracking_sat(cnf, num_vars)
+                if model is not None:
+                    assert self.satisfies(cnf, model)
+                verdicts.append(model is not None)
+        assert len(set(verdicts)) == 2
+
+    def test_restarts_fire_on_pigeonhole(self):
+        """Six pigeons in five holes: UNSAT by the pigeonhole principle,
+        and hard enough for resolution that the Luby schedule restarts."""
+        pigeons, holes = 6, 5
+
+        def var(pigeon, hole):
+            return pigeon * holes + hole + 1
+
+        clauses = [
+            tuple(var(p, h) for h in range(holes)) for p in range(pigeons)
+        ]
+        for h in range(holes):
+            for a in range(pigeons):
+                for b in range(a + 1, pigeons):
+                    clauses.append((-var(a, h), -var(b, h)))
+        solver = SATSolver(clauses, pigeons * holes)
+        assert solver.solve() is None
+        assert solver.stats["restarts"] > 0
 
     def test_restart_and_deletion_counters_engage(self):
         """A conflict-heavy instance must actually exercise the machinery.

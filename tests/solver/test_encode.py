@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assertions.entail import EntailmentOracle, entails
+from repro.assertions.parser import parse_assertion
 from repro.assertions.semantic import (
     TRUE_H,
     AndAssertion,
@@ -34,12 +35,12 @@ from repro.gen.assertions import gen_assertion
 from repro.lang.expr import V
 from repro.checker import Universe
 from repro.solver import encode
+from repro.solver.cnf import CNF, _encode
 from repro.solver.encode import (
     Unsupported,
     entails_sat,
     entailment_model,
     ground_assertion,
-    satisfiable_sat,
 )
 from repro.solver.formula import (
     FAnd,
@@ -112,8 +113,10 @@ class TestEntailmentAgreement:
         assert entailment_model(emp_s, low("x"), STATES, D) is None
 
     def test_satisfiable_sat(self):
-        assert satisfiable_sat(low("x"), STATES, D)
-        assert not satisfiable_sat(emp_s & not_emp_s, STATES, D)
+        """Satisfiability through SAT: a model of ``A ∧ ¬false``."""
+        model = entailment_model(low("x"), SBool(False), STATES, D)
+        assert model is not None and low("x").holds(model, D)
+        assert entailment_model(emp_s & not_emp_s, SBool(False), STATES, D) is None
 
 
 class TestScaling:
@@ -391,6 +394,81 @@ class TestQuotient:
         assert cex is not None
         assert not_emp_s.holds(cex, uni.domain)
         assert not post.holds(cex, uni.domain)
+
+
+
+class TestOneEncoder:
+    """The incremental oracle Tseitin-encodes through ``solver/cnf.py``
+    only: a second encoder (or a second copy of the clauses) shows up as
+    a clause stream that differs from ``_encode``'s."""
+
+    POOL = (
+        "forall <a>. a(x) >= 0",
+        "exists <a>. a(x) == a(y)",
+        "forall <a>. exists <b>. b(x) == a(y)",
+        "exists <a>. exists <b>. a(x) != b(x)",
+        "forall v. exists <a>. a(x) == v",
+        "true",
+        "false",
+    )
+
+    def _recording_oracle(self, monkeypatch):
+        uni = Universe(["x", "y"], IntRange(0, 1))
+        states = tuple(sorted(uni.ext_states(), key=repr))
+        oracle = encode.IncrementalEntailment(states, uni.domain)
+        solver = oracle._solver
+        received, roots = [], []
+        add_clause, solve = solver.add_clause, solver.solve
+
+        def recording_add(lits):
+            received.append(tuple(lits))
+            return add_clause(lits)
+
+        def recording_solve(assumptions=(), **kwargs):
+            roots.append(tuple(assumptions))
+            return solve(assumptions, **kwargs)
+
+        monkeypatch.setattr(solver, "add_clause", recording_add)
+        monkeypatch.setattr(solver, "solve", recording_solve)
+        return oracle, received, roots
+
+    def test_solver_receives_the_cnf_encoding_in_order(self, monkeypatch):
+        oracle, received, roots = self._recording_oracle(monkeypatch)
+        pool = [parse_assertion(text) for text in self.POOL]
+        rng = random.Random(5)
+        queries = [(rng.choice(pool), rng.choice(pool)) for _ in range(40)]
+        for pre, post in queries:
+            assert oracle.entails(pre, post) == entails_sat(
+                pre, post, oracle.universe, oracle.domain
+            )
+
+        atom = encode._interned_atom(oracle.universe)
+        reference = CNF()
+        expected_roots = []
+        for pre, post in queries:
+            query = fand(
+                ground_assertion(pre, oracle.universe, oracle.domain, atom=atom),
+                fnot(ground_assertion(post, oracle.universe, oracle.domain, atom=atom)),
+            )
+            expected_roots.append((_encode(query, reference),))
+        assert received == reference.clauses
+        assert roots == expected_roots
+        assert oracle._cnf.clauses == []  # handed over, not kept
+        assert oracle._cnf.num_vars == reference.num_vars
+
+    def test_repeated_pre_adds_no_definitions(self, monkeypatch):
+        oracle, received, _ = self._recording_oracle(monkeypatch)
+        pre, first, second = (parse_assertion(self.POOL[i]) for i in (2, 1, 3))
+        oracle.entails(pre, first)
+        seen_vars = oracle._cnf.num_vars
+        del received[:]
+        oracle.entails(pre, second)
+        # every clause the second query adds defines a variable it allocated
+        assert received
+        assert all(any(abs(l) > seen_vars for l in c) for c in received)
+        del received[:]
+        oracle.entails(pre, second)
+        assert received == []  # an exact repeat encodes nothing
 
 
 def _subformulas(formula):

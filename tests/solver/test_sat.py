@@ -1,4 +1,4 @@
-"""The SAT stack: formulas, Tseitin CNF, DPLL — cross-validated against
+"""The SAT stack: formulas, Tseitin CNF, CDCL — cross-validated against
 brute-force truth tables."""
 
 import sys

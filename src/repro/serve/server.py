@@ -8,33 +8,60 @@ One :class:`VerificationServer` owns:
   the GIL, exactly like ``verify_many(sharding="process")``), threads on
   request (``executor="thread"``, the cheap option for tests and tiny
   deployments);
-- a content-addressed :class:`~repro.serve.store.ResultStore`: a task
-  document seen before is answered from disk in O(1) without touching a
-  worker, a backend or an oracle.
+- two tiers of stored results: a bounded in-memory tier of encoded
+  result text (:data:`MEMORY_TIER_ENTRIES` entries, least recently used
+  evicted) in front of the content-addressed on-disk
+  :class:`~repro.serve.store.ResultStore`.  A task document seen before
+  is answered without touching a worker, a backend or an oracle.
 
-Request lifecycle: parse envelope → decode the embedded codec document
-(malformed documents are rejected *here*, before any pool dispatch, with
-a typed error document) → store lookup → on miss, dispatch
+Request lifecycle: parse envelope → check budgets and timeout → hash the
+embedded codec document into its store key → memory tier → disk store →
+on a miss, decode the document (a malformed one is rejected *here*,
+before any pool dispatch, with a typed error document), dispatch
 :func:`~repro.serve.worker.run_task_document` to the pool under the
-per-request timeout → store the result → respond.  The store key folds
-in the server's semantic context (domain bounds, entailment method,
-oracle caps) and the request budgets, so a budget-limited ``Undecided``
-can never masquerade as the answer to an unlimited query.  Store misses
-are *single-flight*: concurrent requests for the same key share one
-worker job and one store write instead of racing duplicates.
+per-request timeout, put the encoded result in the memory tier, queue
+its record for the disk → respond.
+
+A hit is never decoded: a key is only ever stored after its document
+decoded as a task, and the key folds in the codec ``schema_version``, so
+a malformed document cannot hit.  Both tiers hold results as the
+``json.dumps(result, sort_keys=True)`` text, and a verify response is
+that text spliced into the envelope, so the daemon neither re-encodes a
+stored result nor builds it as a dict.  A disk hit fills the memory
+tier; a memory-tier entry expires under ``store_ttl`` by its record's
+``stored_at`` stamp, like the disk record it mirrors.
+
+The store key folds in the server's semantic context (domain bounds,
+entailment method, oracle caps) and the request budgets, so a
+budget-limited ``Undecided`` can never masquerade as the answer to an
+unlimited query.  Store misses are *single-flight*: concurrent requests
+for the same key share one worker job and one store write instead of
+racing duplicates; the shared job resolves once its result is in the
+memory tier.
+
+The disk write is off the response path: the record's bytes are encoded
+on the event loop and handed to a :class:`~repro.serve.store.StoreWriter`
+thread (started by the first write), which does the file system calls
+while the response goes out.  A ``stats`` request first waits for the
+queued writes, so its store counters cover every response sent before
+it; a failed write is logged and counted, and its key is still answered
+from the memory tier.
 
 Shutdown is graceful: the listener closes first, open connections get to
-finish their in-flight request, the worker pool drains, and only then
-does :meth:`VerificationServer.wait_stopped` return.  A tripped
-per-request *timeout* answers that client immediately, but cannot
-preempt the worker — the job runs to completion (bounded by any budgets
-it carries) and its result is stored, so the retry is a store hit.
+finish their in-flight request, the worker pool drains, the queued store
+writes land, and only then does :meth:`VerificationServer.wait_stopped`
+return.  A tripped per-request *timeout* answers that client
+immediately, but cannot preempt the worker — the job runs to completion
+(bounded by any budgets it carries) and its result is stored, so the
+retry is a store hit.
 """
 
 import asyncio
 import json
 import signal
 import threading
+import time
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -52,11 +79,15 @@ from .protocol import (
     parse_request,
     task_key,
 )
-from .store import ResultStore
+from .store import ResultStore, StoreWriter, encode_record
 from .worker import run_task_document, spec_for_task
 
 #: Default TCP port (chosen to be unremarkable and unprivileged).
 DEFAULT_PORT = 7341
+
+#: Results the in-memory tier holds, as encoded text (about a kilobyte
+#: each for small universes).
+MEMORY_TIER_ENTRIES = 1024
 
 
 @dataclass
@@ -68,9 +99,9 @@ class ServeConfig:
     like the one-shot CLI); they participate in the store key, so
     daemons with different contexts can safely share one store
     directory.  ``max_image_entries`` bounds each worker session's
-    image+mask cache — the in-memory tier — while ``store_ttl`` /
-    ``max_store_entries`` govern the on-disk result tier (defaults:
-    keep results forever, unbounded).
+    image+mask cache, while ``store_ttl`` / ``max_store_entries``
+    govern the on-disk result tier (defaults: keep results forever,
+    unbounded); ``store_ttl`` also expires the in-memory result tier.
 
     ``intra_task_workers`` turns on the partitioned mask-space scan
     (:mod:`repro.checker.parallel`) inside each worker session, so one
@@ -122,12 +153,16 @@ class VerificationServer:
         self.address = None
         self.started_at = None
         self.requests = 0
-        self.store_hits = 0
+        self.memory_hits = 0
+        self.disk_hits = 0
         self.verified = 0
         self.errors = {}
         self._server = None
         self._executor = None
         self._inflight = {}
+        # key -> (stored_at, result text), least recently used first
+        self._tier = OrderedDict()
+        self._store_writer = StoreWriter(self.store)
         self.coalesced = 0
         self._connections = set()
         self._draining = False
@@ -178,11 +213,20 @@ class VerificationServer:
             await asyncio.sleep(0.025)
         for writer in list(self._connections):
             writer.close()
+        loop = asyncio.get_event_loop()
         if self._executor is not None:
             # drain in-flight worker jobs, drop queued ones
-            await asyncio.get_event_loop().run_in_executor(
+            await loop.run_in_executor(
                 None, partial(self._executor.shutdown, True, cancel_futures=True)
             )
+        # let the drained jobs queue their records, then write them all
+        await asyncio.gather(*list(self._inflight.values()), return_exceptions=True)
+        await loop.run_in_executor(None, self._store_writer.close)
+        # Free the memory tier on this thread, which allocated it: freed
+        # later from the thread that collects the server, its text stays
+        # scattered over this thread's malloc arena, whose resident size
+        # then grew with every daemon a process ran.
+        self._tier.clear()
         self._stopped.set()
 
     # -- per-connection loop ---------------------------------------------
@@ -197,11 +241,14 @@ class VerificationServer:
                 if not line:
                     continue
                 response = await self._respond(line)
-                writer.write(
-                    (json.dumps(response, sort_keys=True) + "\n").encode("utf-8")
-                )
+                if isinstance(response, str):  # a verify answer, encoded
+                    text, closing = response, False
+                else:
+                    text = json.dumps(response, sort_keys=True)
+                    closing = response.get("op") == "shutdown" and response.get("ok")
+                writer.write((text + "\n").encode("utf-8"))
                 await writer.drain()
-                if response.get("op") == "shutdown" and response.get("ok"):
+                if closing:
                     break
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
@@ -228,6 +275,7 @@ class VerificationServer:
             if op == "ping":
                 return ok_response(request_id, "ping")
             if op == "stats":
+                await self._flush_writes()
                 return ok_response(request_id, "stats", stats=self.stats())
             if op == "shutdown":
                 asyncio.get_event_loop().create_task(self.shutdown())
@@ -290,34 +338,26 @@ class VerificationServer:
             )
         budgets = parse_budgets(envelope)
         timeout = self._request_timeout(envelope)
-        # reject malformed documents before touching the store or a worker
-        try:
-            task = from_wire(document)
-        except WireError as err:
-            raise ProtocolError("malformed-document", str(err))
-        if not isinstance(task, VerificationTask):
-            raise ProtocolError(
-                "malformed-document",
-                "expected a task document, decoded a %s"
-                % type(task).__name__,
-            )
         key = task_key(document, self._context(budgets))
-        record = self.store.get(key)
-        if record is not None:
-            self.store_hits += 1
-            return ok_response(
-                request_id,
-                "verify",
-                cached=True,
-                key=key,
-                elapsed=0.0,
-                result=record["result"],
-            )
+        result_text = self._stored(key)
+        if result_text is not None:
+            return _verify_line(request_id, key, True, 0.0, result_text)
         started = clock()
         # single-flight: concurrent requests for the same key share one
         # worker job (and one store write) instead of racing duplicates
         pending = self._inflight.get(key)
         if pending is None:
+            # reject malformed documents before a worker sees them
+            try:
+                task = from_wire(document)
+            except WireError as err:
+                raise ProtocolError("malformed-document", str(err))
+            if not isinstance(task, VerificationTask):
+                raise ProtocolError(
+                    "malformed-document",
+                    "expected a task document, decoded a %s"
+                    % type(task).__name__,
+                )
             pending = asyncio.ensure_future(
                 self._run_and_store(key, task, document, budgets)
             )
@@ -329,7 +369,7 @@ class VerificationServer:
             self.coalesced += 1
         try:
             # shield: one waiter timing out must not cancel the shared job
-            result_document = await asyncio.wait_for(
+            result_text = await asyncio.wait_for(
                 asyncio.shield(pending), timeout
             )
         except asyncio.TimeoutError:
@@ -339,18 +379,44 @@ class VerificationServer:
                 "worker job runs to completion — bounded by the request "
                 "budgets — and its result is stored for next time)" % timeout,
             )
-        elapsed = clock() - started
-        return ok_response(
-            request_id,
-            "verify",
-            cached=False,
-            key=key,
-            elapsed=elapsed,
-            result=result_document,
-        )
+        return _verify_line(request_id, key, False, clock() - started, result_text)
+
+    def _stored(self, key):
+        """The stored result text for ``key``, or ``None``: from the
+        memory tier, else from the disk store (which fills the tier)."""
+        entry = self._tier.get(key)
+        if entry is not None:
+            stored_at, result_text = entry
+            ttl = self.store.ttl
+            if ttl is None or time.time() - stored_at <= ttl:
+                self._tier.move_to_end(key)
+                self.memory_hits += 1
+                return result_text
+            del self._tier[key]
+        record = self.store.get(key)
+        if record is None:
+            return None
+        self.disk_hits += 1
+        result_text = json.dumps(record["result"], sort_keys=True)
+        self._remember(key, record.get("stored_at", 0), result_text)
+        return result_text
+
+    def _remember(self, key, stored_at, result_text):
+        self._tier[key] = (stored_at, result_text)
+        self._tier.move_to_end(key)
+        while len(self._tier) > MEMORY_TIER_ENTRIES:
+            self._tier.popitem(last=False)
+
+    async def _flush_writes(self):
+        """Wait until every queued store write has landed or failed."""
+        if self._store_writer.pending:
+            await asyncio.get_event_loop().run_in_executor(
+                None, self._store_writer.flush
+            )
 
     async def _run_and_store(self, key, task, document, budgets):
-        """The shared per-key job: pool dispatch + the store write."""
+        """The shared per-key job: pool dispatch, then the memory tier and
+        the queued store write; resolves to the encoded result."""
         config = self.config
         spec = spec_for_task(
             task,
@@ -366,14 +432,25 @@ class VerificationServer:
             partial(run_task_document, spec, document, budgets),
         )
         self.verified += 1
-        self.store.put(key, result_document, task_document=document)
-        return result_document
+        result_text = json.dumps(result_document, sort_keys=True)
+        stored_at = time.time()
+        self._remember(key, stored_at, result_text)
+        self._store_writer.submit(
+            key, encode_record(key, result_text, document, stored_at)
+        )
+        return result_text
 
     def stats(self):
         return {
             "uptime": 0.0 if self.started_at is None else clock() - self.started_at,
             "requests": self.requests,
-            "store_hits": self.store_hits,
+            "store_hits": self.memory_hits + self.disk_hits,
+            "store_hits_by_tier": {
+                "memory": self.memory_hits,
+                "disk": self.disk_hits,
+            },
+            "memory_tier_size": len(self._tier),
+            "store_write_failures": self._store_writer.failures,
             "verified": self.verified,
             "coalesced": self.coalesced,
             "errors": dict(self.errors),
@@ -381,6 +458,20 @@ class VerificationServer:
             "workers": self.config.workers or default_shards(),
             "executor": self.config.executor,
         }
+
+
+def _verify_line(request_id, key, cached, elapsed, result_text):
+    """A verify success response around already-encoded result text.
+
+    The line equals ``json.dumps(ok_response(..., result=result),
+    sort_keys=True)``: ``result`` sorts after every other envelope key,
+    so its text is spliced in last.
+    """
+    head = json.dumps(
+        ok_response(request_id, "verify", cached=cached, key=key, elapsed=elapsed),
+        sort_keys=True,
+    )
+    return head[:-1] + ', "result": ' + result_text + "}"
 
 
 async def _serve(config, on_ready=None):
@@ -474,15 +565,26 @@ class BackgroundServer:
         await self.server.wait_stopped()
 
     def stop(self, timeout=30.0):
+        """Shut the daemon down and wait for its thread to exit.
+
+        The wait is on the thread, not on the scheduled shutdown: when
+        the daemon is already stopping (after a client's ``shutdown``
+        op), its loop can close before that coroutine runs, and the
+        coroutine's future then never completes.
+        """
         if self._thread is None or not self._thread.is_alive():
             return
-        future = asyncio.run_coroutine_threadsafe(
-            self.server.shutdown(), self._loop
-        )
-        try:
-            future.result(timeout)
-        finally:
-            self._thread.join(timeout)
+        if not self.server._shutdown_started:
+            shutdown = self.server.shutdown()
+            try:
+                asyncio.run_coroutine_threadsafe(shutdown, self._loop)
+            except RuntimeError:  # the loop has closed already
+                shutdown.close()
+        self._thread.join(timeout)
+        if self._thread.is_alive():
+            raise TimeoutError(
+                "background server did not stop within %.3gs" % timeout
+            )
 
     def __enter__(self):
         return self.start()

@@ -25,16 +25,50 @@ The store only ever returns documents stamped with the *current* codec
 ``from_wire`` version check at read time in the caller — to keep that
 loud-and-cheap, :meth:`get` itself drops records whose stored version
 differs.
+
+Tiers and write-behind.  The daemon (:mod:`repro.serve.server`) keeps a
+bounded in-memory tier of encoded result text in front of this store,
+so a repeated task is answered without reading a file; this store is
+the tier that survives restarts.  :meth:`ResultStore.put` is two halves
+the daemon calls apart: :func:`encode_record` builds a record's file
+bytes around result text that is already encoded, and
+:meth:`ResultStore.write` does only the file system calls.  The daemon
+runs the second half on a :class:`StoreWriter` thread, off its response
+path.
 """
 
 import json
+import logging
 import os
+import queue
 import tempfile
 import threading
 import time
 from collections import OrderedDict
 
 from ..codec.wire import SCHEMA_VERSION, VERSION_KEY
+
+_log = logging.getLogger(__name__)
+
+
+def encode_record(key, result_text, task_document=None, stored_at=None):
+    """The file bytes of one record around ``result_text``, the
+    ``json.dumps(result, sort_keys=True)`` text of its result document.
+
+    The bytes equal ``json.dumps(record, sort_keys=True)`` of the whole
+    record: its keys are spliced in sorted order with the default
+    separators, so the result is not encoded a second time.
+    ``stored_at`` defaults to now.
+    """
+    if stored_at is None:
+        stored_at = time.time()
+    text = '{"key": %s, "result": %s, "stored_at": %s, "task": %s}' % (
+        json.dumps(key),
+        result_text,
+        json.dumps(stored_at),
+        json.dumps(task_document, sort_keys=True),
+    )
+    return text.encode("utf-8")
 
 
 class ResultStore:
@@ -137,20 +171,20 @@ class ResultStore:
 
     def put(self, key, result_document, task_document=None):
         """Store one result document under ``key`` (atomic, LRU-evicting)."""
-        record = {
-            "key": key,
-            "stored_at": time.time(),
-            "result": result_document,
-            "task": task_document,
-        }
+        result_text = json.dumps(result_document, sort_keys=True)
+        self.write(key, encode_record(key, result_text, task_document))
+
+    def write(self, key, data):
+        """Write one record's encoded bytes under ``key``: the file system
+        half of :meth:`put` (atomic, LRU-evicting)."""
         path = self._path_for(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(
             dir=os.path.dirname(path), prefix=".tmp-", suffix=".json"
         )
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(record, handle, sort_keys=True)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -213,3 +247,58 @@ class ResultStore:
         return "ResultStore(%r, %d records, ttl=%r, max_entries=%r)" % (
             self.root, len(self), self.ttl, self.max_entries,
         )
+
+
+class StoreWriter:
+    """Write-behind for one :class:`ResultStore`.
+
+    :meth:`submit` queues a record's encoded bytes and returns at once;
+    one thread, started by the first submit, runs
+    :meth:`ResultStore.write` for each in submission order.  A failed
+    write is logged and counted in :attr:`failures`, and the writer
+    goes on with the next record.  :meth:`flush` blocks until every
+    submitted record is written or has failed; :meth:`close` flushes
+    and ends the thread.
+    """
+
+    def __init__(self, store):
+        self.store = store
+        self.failures = 0
+        self._queue = queue.Queue()
+        self._thread = None
+
+    def submit(self, key, data):
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._run, name="repro-store-writer", daemon=True
+            )
+            self._thread.start()
+        self._queue.put((key, data))
+
+    @property
+    def pending(self):
+        """Records submitted and not yet written (or failed)."""
+        return self._queue.unfinished_tasks
+
+    def flush(self):
+        self._queue.join()
+
+    def close(self):
+        if self._thread is None:
+            return
+        self._queue.put(None)
+        self._thread.join()
+        self._thread = None
+
+    def _run(self):
+        while True:
+            item = self._queue.get()
+            try:
+                if item is None:
+                    return
+                self.store.write(*item)
+            except Exception:  # the writer must outlive one bad record
+                self.failures += 1
+                _log.exception("store write of %s failed", item[0])
+            finally:
+                self._queue.task_done()

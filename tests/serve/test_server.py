@@ -237,6 +237,30 @@ class TestLifecycle:
         with pytest.raises(OSError):
             socket.create_connection(background.address, timeout=0.5)
 
+    def test_stop_waits_for_the_thread_not_the_shutdown_future(
+        self, store_path, monkeypatch
+    ):
+        # The shutdown runs, but its future never reports: what ``stop``
+        # sees when the coroutine lands on a loop that is already closing.
+        import asyncio
+        import concurrent.futures
+
+        real = asyncio.run_coroutine_threadsafe
+
+        def never_reports(coro, loop):
+            real(coro, loop)
+            return concurrent.futures.Future()
+
+        config = ServeConfig(
+            port=0, executor="thread", workers=1, store_path=store_path, quiet=True
+        )
+        background = BackgroundServer(config).start()
+        monkeypatch.setattr(asyncio, "run_coroutine_threadsafe", never_reports)
+        started = time.perf_counter()
+        background.stop(timeout=10.0)
+        assert time.perf_counter() - started < 5.0
+        assert not background._thread.is_alive()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ServeConfig(executor="fibers")

@@ -28,10 +28,17 @@ def _raiser(message):
     return fail
 
 
-def compile_hexpr(hexpr):
+def compile_hexpr(hexpr, read=None):
     """Compile an :class:`~repro.assertions.syntax.HExpr` to
-    ``(sigma_env, delta_env) -> value``."""
+    ``(sigma_env, delta_env) -> value``.
+
+    ``read``, when given, is called on every :class:`HProg`,
+    :class:`HLog` and :class:`HVar` leaf, left to right, and returns the
+    closure for it: a caller can collect the leaves' reads and bind
+    states as something other than :class:`ExtState` objects."""
     t = type(hexpr)
+    if read is not None and (t is HProg or t is HLog or t is HVar):
+        return read(hexpr)
     if t is HLit:
         value = hexpr.value
         return lambda sigma, delta: value
@@ -70,23 +77,23 @@ def compile_hexpr(hexpr):
 
         return read_log
     if t is HBin:
+        left = compile_hexpr(hexpr.left, read)
+        right = compile_hexpr(hexpr.right, read)
         fn = BINOPS.get(hexpr.op)
         if fn is None:
             return _raiser("unknown binary operator %r" % hexpr.op)
-        left = compile_hexpr(hexpr.left)
-        right = compile_hexpr(hexpr.right)
         return lambda sigma, delta: fn(left(sigma, delta), right(sigma, delta))
     if t is HFun:
+        args = tuple(compile_hexpr(a, read) for a in hexpr.args)
         fn = FUNS.get(hexpr.name)
         if fn is None:
             return _raiser("unknown function %r" % hexpr.name)
-        args = tuple(compile_hexpr(a) for a in hexpr.args)
         if len(args) == 1:
             only = args[0]
             return lambda sigma, delta: fn(only(sigma, delta))
         return lambda sigma, delta: fn(*(a(sigma, delta) for a in args))
     if t is HTupleE:
-        items = tuple(compile_hexpr(i) for i in hexpr.items)
+        items = tuple(compile_hexpr(i, read) for i in hexpr.items)
         return lambda sigma, delta: tuple(i(sigma, delta) for i in items)
     raise TypeError("not a hyper-expression: %r" % (hexpr,))
 

@@ -60,11 +60,15 @@ def rule_cons(new_pre, new_post, proof, oracle, context="Cons"):
     """Cons: weaken/strengthen via ``P |= P'`` and ``Q' |= Q``.
 
     Entailments are discharged by the ``oracle``; an ``AssumingOracle``
-    records them as assumptions instead (reflected on the node).
+    records them as assumptions instead (reflected on the node).  An
+    entailment between one assertion object and itself, ``P |= P``,
+    holds for every ``P`` and is neither asked nor assumed.
     """
     before = len(oracle.assumed)
-    oracle.require(new_pre, proof.pre, context + " (precondition)")
-    oracle.require(proof.post, new_post, context + " (postcondition)")
+    if new_pre is not proof.pre:
+        oracle.require(new_pre, proof.pre, context + " (precondition)")
+    if proof.post is not new_post:
+        oracle.require(proof.post, new_post, context + " (postcondition)")
     assumed = tuple(
         "%s: %s |= %s" % (ctx or context, p.describe(), q.describe())
         for p, q, ctx in oracle.assumed[before:]

@@ -15,10 +15,9 @@ the same formula, so each class is grounded once, at its first member
 ``u_K``, and guarded by its *class selector* ``s_K = ⋁_{u∈K} m_u``.
 This is the per-state expansion ``⋀_{u∈U} (m_u → ⟦A⟧[φ:=u])`` regrouped
 by class — exact, and still over membership atoms only, so models
-decode to sets unchanged.  GNI's ``∀⟨φ1⟩,⟨φ2⟩. ∃⟨φ⟩. φ(h) = φ1(h) ∧
-φ(l) = φ2(l)`` on the 8-state h,l,y universe has ``2·2·4`` leaves
-instead of ``8·8·8``: ``φ1`` reads only ``h``, ``φ2`` only ``l`` and
-``φ`` both.
+decode to sets unchanged.  GNI on the 8-state h,l,y universe has
+``2·2·4`` leaves instead of ``8·8·8``: ``φ1`` reads only ``h``, ``φ2``
+only ``l`` and ``φ`` both.
 
 ``P |= Q`` then reduces to UNSAT of ``⟦P⟧ ∧ ¬⟦Q⟧`` — the same shape of
 reduction the Hypra verifier performs with Z3, here with our own CDCL solver.
@@ -26,25 +25,24 @@ Every query, one-shot (:func:`entails_sat`, :func:`entailment_model`) or
 incremental (:class:`IncrementalEntailment`), is Tseitin-encoded by
 :mod:`repro.solver.cnf` and decided by :mod:`repro.solver.sat`.
 
-The grounding pass is compile-once per query: each distinct comparison
-leaf is lowered to a closure (:func:`repro.compile.hyper.compile_hexpr`)
-the first time it is seen, the per-state atom literals and the class
-selectors are built once, and quantifier instantiation mutates a single
-binding environment (set/restore) instead of copying a dict per
-instantiation.  A quantifier's grounding depends on the enclosing
-bindings only through the values it reads from them, so each quantifier
-node is grounded once per distinct *read projection* — the values of
-its free ``φ(x)`` lookups and free value variables — and the result is
-shared by every binding with that projection.
-The solver-facing entry points additionally key their atoms by the
-state's *interned id* (its position in the universe tuple), so the
-formula, CNF and SAT layers hash machine ints instead of whole
-extended states.
+A grounding pass compiles the assertion into a *plan* of closures in
+one bottom-up walk that dispatches on node kind, gives each ``φ(x)``
+read a *slot* and collects free reads and value variables.  A state
+quantifier binds its class representative's vector of slot values, so
+leaves read by index; running the plan only calls closures and looks up
+bindings and memo entries.  Slot vectors and classes live in the
+grounder: one call of :func:`ground_assertion`, or the universe's
+lifetime in :class:`IncrementalEntailment`, whose atoms are keyed by
+the state's position in the universe (small ints, cheap to hash).
 """
+
+import threading
 
 from ..assertions.base import Assertion
 from ..assertions.semantic import AndAssertion, NotAssertion, OrAssertion
 from ..assertions.syntax import (
+    HProg,
+    HVar,
     SAnd,
     SBool,
     SCmp,
@@ -53,18 +51,15 @@ from ..assertions.syntax import (
     SForallState,
     SForallVal,
     SOr,
-    SynAssertion,
 )
-import threading
-
 from ..compile.hyper import compile_cmp, compile_hexpr
+from ..errors import EvaluationError
 from .cnf import CNF, _encode
 from .formula import FFalse, FTrue, f_or, fand, fnot, fvar
 from .sat import IncrementalSolver, solve_formula
 
 _MISSING = object()
-
-_QUANTIFIERS = (SForallState, SExistsState, SForallVal, SExistsVal)
+_TRUE, _FALSE = FTrue(), FFalse()
 
 
 class Unsupported(Exception):
@@ -85,7 +80,8 @@ def _interned_atom(universe):
 
 
 def ground_assertion(
-    assertion, universe, domain, sigma_env=None, delta_env=None, atom=_membership_atom
+    assertion, universe, domain, sigma_env=None, delta_env=None, atom=_membership_atom,
+    grounder=None,
 ):
     """Ground ``assertion`` to a propositional formula over membership atoms.
 
@@ -93,217 +89,233 @@ def ground_assertion(
     formula's atoms are ``atom(φ)`` pairs — ``("member", φ)`` by default.
     The symbolic validity encoder passes distinct ``atom`` constructors to
     keep the precondition's selector namespace and the postcondition's
-    post-state namespace apart within one query.
+    post-state namespace apart within one query.  ``grounder``, a
+    :class:`_Grounder` of the same universe, domain and atom, keeps its
+    slot vectors and partition classes from earlier calls.
     """
-    grounder = _Grounder(tuple(universe), domain, atom)
-    return grounder.ground(assertion, dict(sigma_env or {}), dict(delta_env or {}))
+    if grounder is None:
+        grounder = _Grounder(tuple(universe), domain, atom)
+    return grounder.ground(assertion, sigma_env or {}, delta_env or {})
 
 
 class _Grounder:
-    """One grounding pass over one universe/atom namespace.
+    """Compiles and runs grounding plans over one universe and atom
+    namespace, keeping across passes the slot vectors (:data:`_MISSING`
+    where a state lacks the variable, so reading it raises the
+    ``KeyError`` a lookup would) and the classes per tuple of read
+    slots, in first-occurrence order, each selector one object shared
+    by every quantifier.
 
-    Holds the prebuilt positive/negative atom literals (one pair per
-    state id), the memo of compiled comparison closures, the class
-    selectors, and one *entry* per quantifier node.  The first time the
-    pass reaches a quantifier, one walk of its subtree collects the free
-    reads (:meth:`~repro.assertions.syntax.SynAssertion.free_reads`, as
-    ``(state, var, is prog)``) and free value variables of every
-    quantifier inside it and records their entries:
-
-    - **classes** (state quantifiers): ``∃⟨φ⟩. B`` grounds as
-      ``⋁_K (s_K ∧ ⟦B⟧[φ:=u_K])`` and ``∀⟨φ⟩. B`` as
-      ``⋀_K (¬s_K ∨ ⟦B⟧[φ:=u_K])``, where ``K`` ranges over the classes
-      of the universe under ``B``'s reads of ``φ`` (numbered in order of
-      first occurrence), ``u_K`` is the first member of ``K`` and the
-      selector ``s_K = ⋁_{u∈K} m_u`` (plain ``m_u`` for a singleton) is
-      built once per read tuple and shared by every occurrence.  States
-      of one class give ``B`` the same formula — state variables occur
-      only in lookups and every operator is total — so this is the
-      per-state expansion regrouped, not an abstraction.  A missing
-      variable keys as a sentinel, so its class representative raises
-      the same error the per-state expansion would;
-    - **the projection memo**: a quantifier node's grounding is a
-      function of the values it reads from the enclosing bindings — its
-      free ``φ(x)`` lookups in ``sigma`` and its free value variables in
-      ``delta`` — so each node
-      is grounded once per distinct tuple of those values and the
-      formula object is shared by every other binding that projects to
-      it.  An unbound state or a missing variable keys as a sentinel
-      (recomputing it raises the same error), and only completed
-      groundings are stored.  A quantifier reached with no binding at
-      all (an outermost one) is reached once, so it skips the key.
-
-    The recursion threads two *mutable* binding environments, restoring
-    each binding on exit instead of copying the dict per instantiation.
+    The walk returns ``(reads, values, make)`` per node: its free
+    ``(state, slot)`` reads and value variables (ordered dicts) and
+    ``make(width)``, which builds ``run(sigma, delta)`` over bindings
+    that quantifiers set and restore in place.  ``width`` counts what
+    tells the node's calls apart: the key of its nearest enclosing
+    quantifier plus what that one binds.  A quantifier whose own key is
+    narrower repeats calls, so it is memoized on its key (unbound keys
+    as :data:`_MISSING`; only completed groundings are stored).
     """
 
-    __slots__ = ("universe", "domain", "pos", "neg", "_cmps", "_entries", "_classes")
+    __slots__ = ("universe", "pos", "neg", "_values", "_slots", "_vectors", "_classes")
 
     def __init__(self, universe, domain, atom):
         self.universe = universe
-        self.domain = domain
-        self.pos = tuple(fvar(atom(u)) for u in universe)
-        self.neg = tuple(fnot(v) for v in self.pos)
-        self._cmps = {}
-        # id(quantifier node) -> (free reads, free value vars, classes, memo)
-        self._entries = {}
-        self._classes = {}  # frozenset of (var, is prog) reads -> classes
+        self._values = [(v, None) for v in domain]  # value quantifiers' cases
+        self.pos = [fvar(atom(u)) for u in universe]
+        self.neg = [fnot(v) for v in self.pos]
+        self._slots = {}  # (var, is prog) -> slot
+        self._vectors = [[] for _ in universe]  # state id -> value per slot
+        self._classes = {}  # sorted tuple of slots -> classes
 
-    def _cmp_fn(self, node):
-        # keyed by node identity: the assertion tree outlives the pass,
-        # so ids are stable for its duration
-        fn = self._cmps.get(id(node))
-        if fn is None:
-            op = compile_cmp(node.op)
-            left = compile_hexpr(node.left)
-            right = compile_hexpr(node.right)
+    def ground(self, assertion, sigma_env, delta_env):
+        """One pass: compile ``assertion``'s plan, then run it once."""
+        run = self._compile(assertion)[2](0)
+        sigma = {}
+        for name, phi in sigma_env.items():
+            sigma[name] = [(phi.prog if p else phi.log).get(v, _MISSING) for v, p in self._slots]
+        return run(sigma, dict(delta_env))
 
-            def fn(sigma, delta, op=op, left=left, right=right):
-                return op(left(sigma, delta), right(sigma, delta))
-
-            self._cmps[id(node)] = fn
-        return fn
-
-    def _entry(self, node):
-        """``node``'s per-pass entry: its free reads as ``(state, var, is
-        prog)``, its free value variables, its classes (``None`` for a
-        value quantifier) and its projection memo."""
-        entry = self._entries.get(id(node))
-        if entry is None:
-            self._scan(node)
-            entry = self._entries[id(node)]
-        return entry
-
-    def _scan(self, node):
-        """``node``'s free reads and free value variables, recording the
-        entry of every quantifier node inside it on the way: one walk of
-        the subtree serves all its nested quantifiers."""
-        if isinstance(node, SCmp):
-            reads = {(state, var, True) for state, var in node.prog_lookups()}
-            reads.update((state, var, False) for state, var in node.log_lookups())
-            return reads, node.free_value_vars()
-        if isinstance(node, (SAnd, SOr)):
-            reads, values = self._scan(node.left)
-            right_reads, right_values = self._scan(node.right)
-            return reads | right_reads, values | right_values
-        if not isinstance(node, _QUANTIFIERS):  # SBool
-            return frozenset(), frozenset()
-        reads, values = self._scan(node.body)
-        if isinstance(node, (SForallState, SExistsState)):
-            bound = node.state
-            own = frozenset((var, prog) for state, var, prog in reads if state == bound)
-            reads = {read for read in reads if read[0] != bound}
-            classes = self._partition(own)
-        else:
-            values = values - {node.var}
-            classes = None
-        self._entries[id(node)] = (tuple(reads), tuple(values), classes, {})
-        return reads, values
+    def _slot(self, var, prog):
+        slot = self._slots.get((var, prog))
+        if slot is None:
+            slot = self._slots[var, prog] = len(self._slots)
+            for u, vector in zip(self.universe, self._vectors):
+                vector.append((u.prog if prog else u.log).get(var, _MISSING))
+        return slot
 
     def _partition(self, own):
-        """The classes of the universe under the reads ``own`` of the
-        bound state: ``(representative, s_K, ¬s_K)`` triples."""
+        """The classes under the read slots ``own`` as ``(∃ cases, ∀
+        cases)``: each class's representative's vector with ``s_K``, and
+        with ``¬s_K``."""
         classes = self._classes.get(own)
         if classes is None:
             groups = {}  # projection -> member ids, in first-occurrence order
-            for i, u in enumerate(self.universe):
-                key = tuple(
-                    (u.prog if prog else u.log).get(var, _MISSING) for var, prog in own
-                )
-                groups.setdefault(key, []).append(i)
-            classes = []
+            for i, vector in enumerate(self._vectors):
+                groups.setdefault(tuple([vector[s] for s in own]), []).append(i)
+            exists, forall = [], []
             for members in groups.values():
-                if len(members) == 1:
-                    sel, unsel = self.pos[members[0]], self.neg[members[0]]
-                else:
-                    sel = f_or(*(self.pos[i] for i in members))
-                    unsel = fnot(sel)
-                classes.append((self.universe[members[0]], sel, unsel))
-            classes = self._classes[own] = tuple(classes)
+                vector = self._vectors[members[0]]
+                sel = f_or(*(self.pos[i] for i in members))  # m_u itself for a singleton
+                exists.append((vector, sel))
+                forall.append((vector, self.neg[members[0]] if len(members) == 1 else fnot(sel)))
+            classes = self._classes[own] = (tuple(exists), tuple(forall))
         return classes
 
-    def ground(self, node, sigma, delta):
-        # semantic combinator wrappers around syntactic parts remain groundable
-        if isinstance(node, AndAssertion):
-            return fand(*(self.ground(p, sigma, delta) for p in node.parts))
-        if isinstance(node, OrAssertion):
-            return f_or(*(self.ground(p, sigma, delta) for p in node.parts))
-        if isinstance(node, NotAssertion):
-            return fnot(self.ground(node.operand, sigma, delta))
-        if not isinstance(node, SynAssertion):
-            raise Unsupported("cannot ground %r" % (node,))
+    def _compile(self, node):
+        kind = _KINDS.get(type(node))  # exact classes: assertion nodes are not subclassed
+        if kind is None:
+            message = "cannot ground %r" % (node,)
 
-        if isinstance(node, SBool):
-            return FTrue() if node.value else FFalse()
-        if isinstance(node, SCmp):
-            return FTrue() if self._cmp_fn(node)(sigma, delta) else FFalse()
-        if isinstance(node, SAnd):
-            left = self.ground(node.left, sigma, delta)
-            if isinstance(left, FFalse):  # mirror `and` short-circuit
-                return left
-            return fand(left, self.ground(node.right, sigma, delta))
-        if isinstance(node, SOr):
-            left = self.ground(node.left, sigma, delta)
-            if isinstance(left, FTrue):  # mirror `or` short-circuit
-                return left
-            return f_or(left, self.ground(node.right, sigma, delta))
-        if not isinstance(node, _QUANTIFIERS):
-            raise Unsupported("cannot ground %r" % (node,))
-        reads, value_vars, classes, memo = self._entry(node)
-        if not sigma and not delta:  # outermost: reached once, nothing to share
-            return self._ground_quantifier(node, classes, sigma, delta)
-        key = []
-        for state, var, prog in reads:
-            phi = sigma.get(state, _MISSING)
-            if phi is not _MISSING:
-                phi = (phi.prog if prog else phi.log).get(var, _MISSING)
-            key.append(phi)
-        key.extend(delta.get(name, _MISSING) for name in value_vars)
-        key = tuple(key)
+            def fail(sigma, delta):
+                raise Unsupported(message)
+
+            return {}, {}, lambda width: fail
+        return kind(self, node)
+
+    def _cmp(self, node):
+        reads, values = {}, {}
+
+        def read(leaf):
+            if type(leaf) is HVar:
+                values[leaf.name] = None
+                return compile_hexpr(leaf)
+            slot = self._slot(leaf.var, type(leaf) is HProg)
+            reads[leaf.state, slot] = None
+            return _reader(leaf.state, leaf.var, slot)
+
+        op = compile_cmp(node.op)
+        left = compile_hexpr(node.left, read)
+        right = compile_hexpr(node.right, read)
+
+        def run(sigma, delta):
+            return _TRUE if op(left(sigma, delta), right(sigma, delta)) else _FALSE
+
+        return reads, values, lambda width: run
+
+    def _bool(self, node):
+        formula = _TRUE if node.value else _FALSE
+        return {}, {}, lambda width: lambda sigma, delta: formula
+
+    def _junction(self, node):
+        left_reads, left_values, left = self._compile(node.left)
+        right_reads, right_values, right = self._compile(node.right)
+        # mirror the short-circuit of `and` / `or`
+        combine, absorbing = (fand, FFalse) if isinstance(node, SAnd) else (f_or, FTrue)
+
+        def make(width):
+            first, second = left(width), right(width)
+
+            def run(sigma, delta):
+                formula = first(sigma, delta)
+                if type(formula) is absorbing:
+                    return formula
+                return combine(formula, second(sigma, delta))
+
+            return run
+
+        return {**left_reads, **right_reads}, {**left_values, **right_values}, make
+
+    def _combinator(self, node):
+        # semantic combinators around syntactic parts stay groundable
+        if isinstance(node, NotAssertion):
+            parts, combine = (node.operand,), fnot
+        else:
+            parts = node.parts
+            combine = fand if isinstance(node, AndAssertion) else f_or
+        parts = [self._compile(p) for p in parts]
+
+        def make(width):
+            runs = [p[2](width) for p in parts]
+            return lambda sigma, delta: combine(*[r(sigma, delta) for r in runs])
+
+        reads = {read: None for p in parts for read in p[0]}
+        return reads, {value: None for p in parts for value in p[1]}, make
+
+    def _quantifier(self, node):
+        """``∀⟨φ⟩. B`` as ``⋀_K (¬s_K ∨ ⟦B⟧[φ:=u_K])``, ``∃⟨φ⟩. B`` as
+        ``⋁_K (s_K ∧ ⟦B⟧[φ:=u_K])``; value quantifiers over the domain,
+        up to the first absorbing part."""
+        body_reads, body_values, body = self._compile(node.body)
+        universal = isinstance(node, (SForallState, SForallVal))
+        if isinstance(node, (SForallState, SExistsState)):
+            name, env, values = node.state, 0, body_values
+            own = {read[1] for read in body_reads if read[0] == name}
+            reads = {read: None for read in body_reads if read[0] != name}
+            cases = self._partition(tuple(sorted(own)))[universal]
+            spread = len(own)
+        else:
+            name, env, reads, spread, cases = node.var, 1, body_reads, 1, self._values
+            values = {value: None for value in body_values if value != name}
+        guard, combine, absorbing = (f_or, fand, FFalse) if universal else (fand, f_or, FTrue)
+        width = len(reads) + len(values)
+
+        def make(outer):
+            inner = body(width + spread)
+
+            def run(sigma, delta):
+                bindings = delta if env else sigma
+                old = bindings.get(name, _MISSING)
+                parts = []
+                for value, selector in cases:
+                    bindings[name] = value
+                    part = inner(sigma, delta)
+                    if selector is not None:
+                        part = guard(selector, part)
+                    elif type(part) is absorbing:  # decided: skip the rest
+                        parts = [part]
+                        break
+                    parts.append(part)
+                if old is _MISSING:
+                    bindings.pop(name, None)  # empty universe or domain: never bound
+                else:
+                    bindings[name] = old
+                return combine(*parts)
+
+            return run if width >= outer else _memoized(run, reads, values)
+
+        return reads, values, make
+
+
+_KINDS = {
+    SCmp: _Grounder._cmp, SBool: _Grounder._bool,
+    SAnd: _Grounder._junction, SOr: _Grounder._junction,
+    SForallState: _Grounder._quantifier, SExistsState: _Grounder._quantifier,
+    SForallVal: _Grounder._quantifier, SExistsVal: _Grounder._quantifier,
+    AndAssertion: _Grounder._combinator, OrAssertion: _Grounder._combinator,
+    NotAssertion: _Grounder._combinator,
+}
+
+
+def _reader(state, var, slot):
+    """The closure for ``state(var)``: index ``slot`` of the bound vector."""
+
+    def read(sigma, delta):
+        try:
+            vector = sigma[state]
+        except KeyError:
+            raise EvaluationError("unbound state variable %r" % state)
+        value = vector[slot]
+        if value is _MISSING:
+            raise KeyError(var)
+        return value
+
+    return read
+
+
+def _memoized(ground, reads, values):
+    """``ground`` run once per distinct value of its key within the pass."""
+    reads, values = tuple(reads), tuple(values)
+    memo = {}
+
+    def run(sigma, delta):
+        key = tuple([sigma[s][slot] if s in sigma else _MISSING for s, slot in reads])
+        key += tuple([delta.get(name, _MISSING) for name in values])
         formula = memo.get(key)
-        if formula is None:  # only completed groundings are stored
-            formula = memo[key] = self._ground_quantifier(node, classes, sigma, delta)
+        if formula is None:
+            formula = memo[key] = ground(sigma, delta)
         return formula
 
-    def _ground_quantifier(self, node, classes, sigma, delta):
-        if classes is None:
-            name = node.var
-            body = node.body
-            universal = isinstance(node, SForallVal)
-            absorbing = FFalse if universal else FTrue
-            old = delta.get(name, _MISSING)
-            parts = []
-            for v in self.domain:
-                delta[name] = v
-                part = self.ground(body, sigma, delta)
-                if isinstance(part, absorbing):  # decided: skip the rest
-                    parts = [part]
-                    break
-                parts.append(part)
-            if old is _MISSING:
-                delta.pop(name, None)  # empty domain: never bound
-            else:
-                delta[name] = old
-            return fand(*parts) if universal else f_or(*parts)
-        name = node.state
-        body = node.body
-        old = sigma.get(name, _MISSING)
-        parts = []
-        if isinstance(node, SForallState):  # ⋀_K (¬s_K ∨ ⟦B⟧[φ:=u_K])
-            for rep, _, unsel in classes:
-                sigma[name] = rep
-                parts.append(f_or(unsel, self.ground(body, sigma, delta)))
-            combine = fand
-        else:  # ⋁_K (s_K ∧ ⟦B⟧[φ:=u_K])
-            for rep, sel, _ in classes:
-                sigma[name] = rep
-                parts.append(fand(sel, self.ground(body, sigma, delta)))
-            combine = f_or
-        if old is _MISSING:
-            sigma.pop(name, None)  # empty universe: never bound
-        else:
-            sigma[name] = old
-        return combine(*parts)
+    return run
 
 
 def entails_sat(pre, post, universe, domain, atom=None):
@@ -328,9 +340,10 @@ def entailment_model(pre, post, universe, domain, atom=None):
     universe = tuple(universe)
     if atom is None:
         atom = _interned_atom(universe)
+    grounder = _Grounder(universe, domain, atom)  # pre and post share classes
     query = fand(
-        ground_assertion(pre, universe, domain, atom=atom),
-        fnot(ground_assertion(post, universe, domain, atom=atom)),
+        ground_assertion(pre, universe, domain, grounder=grounder),
+        fnot(ground_assertion(post, universe, domain, grounder=grounder)),
     )
     model = solve_formula(query)
     if model is None:
@@ -341,32 +354,16 @@ def entailment_model(pre, post, universe, domain, atom=None):
 class IncrementalEntailment:
     """Entailment queries over one universe on a *persistent* solver.
 
-    :func:`entails_sat` pays the full pipeline per query — ground,
-    Tseitin-encode into a fresh CNF, solve from scratch — although a
-    chain run issues thousands of near-identical queries over the same
-    membership atoms.  This class keeps one
-    :class:`~repro.solver.sat.IncrementalSolver` alive for the
-    universe's lifetime and exploits two structural facts:
-
-    1. the Tseitin encoding (:mod:`repro.solver.cnf`) emits
-       *biconditional* definitions — each definition clause set is a
-       conservative extension, true in every model — so definitional
-       clauses can be added once, globally, and shared by all queries;
-    2. a query is then a single solver call under one **assumption**
-       (the root literal of ``⟦pre⟧ ∧ ¬⟦post⟧``): UNSAT under the
-       assumption iff entailed.  No per-query activation groups means
-       clauses learned refuting one query carry over undiminished to
-       the next.
-
-    Each query is encoded into one long-lived :class:`~repro.solver.cnf.CNF`
-    whose atom map and subformula memo persist, so shared subtrees
-    across queries — the common case: the same ``pre`` against many
-    ``post``\\ s — encode once; the definition clauses a query adds are
-    handed to the solver and dropped from the CNF.  Grounded formulas
-    are additionally cached per assertion object, skipping the
-    grounding walk entirely on repeats.  Verdicts are identical to
-    :func:`entails_sat`, which the solver tests assert; thread-safe
-    (one lock per instance, matching the oracle's sharing).
+    The Tseitin definitions of :mod:`repro.solver.cnf` are biconditional
+    (true in every model), so one long-lived CNF and
+    :class:`~repro.solver.sat.IncrementalSolver` serve every query: a
+    subformula shared across queries (the same ``pre`` against many
+    ``post``\\ s) is defined once, a query is one solve under the
+    assumption of its root literal ``⟦pre⟧ ∧ ¬⟦post⟧`` (UNSAT iff
+    entailed), and learned clauses carry over.  One grounder keeps its
+    slot vectors and classes, and grounded formulas are cached per
+    assertion object.  Verdicts equal :func:`entails_sat`'s; one lock
+    per instance makes it thread-safe, matching the oracle's sharing.
     """
 
     def __init__(self, universe, domain):
@@ -375,6 +372,7 @@ class IncrementalEntailment:
         self._atom = _interned_atom(self.universe)
         self._solver = IncrementalSolver()
         self._cnf = CNF()  # atom map + subformula memo; clauses drained per query
+        self._grounder = _Grounder(self.universe, domain, self._atom)
         self._grounded = {}  # id(assertion) -> (assertion ref, formula)
         self._lock = threading.Lock()
         self.queries = 0
@@ -384,7 +382,7 @@ class IncrementalEntailment:
         if entry is not None and entry[0] is assertion:
             return entry[1]
         formula = ground_assertion(
-            assertion, self.universe, self.domain, atom=self._atom
+            assertion, self.universe, self.domain, atom=self._atom, grounder=self._grounder
         )
         # keyed by identity, the ref in the value keeps the id stable
         self._grounded[id(assertion)] = (assertion, formula)

@@ -158,13 +158,12 @@ def fand(*parts):
     """Simplifying, flattening conjunction."""
     flat = []
     for p in parts:
-        if isinstance(p, FTrue):
-            continue
-        if isinstance(p, FFalse):
-            return FFalse()
-        if isinstance(p, FAnd):
+        kind = type(p)  # exact classes: formula nodes are never subclassed
+        if kind is FAnd:
             flat.extend(p.parts)
-        else:
+        elif kind is FFalse:
+            return FFalse()
+        elif kind is not FTrue:
             flat.append(p)
     if not flat:
         return FTrue()
@@ -177,13 +176,12 @@ def f_or(*parts):
     """Simplifying, flattening disjunction."""
     flat = []
     for p in parts:
-        if isinstance(p, FFalse):
-            continue
-        if isinstance(p, FTrue):
-            return FTrue()
-        if isinstance(p, FOr):
+        kind = type(p)
+        if kind is FOr:
             flat.extend(p.parts)
-        else:
+        elif kind is FTrue:
+            return FTrue()
+        elif kind is not FFalse:
             flat.append(p)
     if not flat:
         return FFalse()

@@ -199,10 +199,11 @@ class TestCounters:
     def test_artifacts_reused_counts_subtree_hits(self, session):
         session.verify_many(SUITE)
         edited = list(SUITE)
-        edited[0] = ("true", SUITE[0][1], SUITE[0][2])
+        edited[0] = (SUITE[0][0], SUITE[0][1] + "; skip", SUITE[0][2])
         report = session.reverify(edited)
-        # the re-run task shares its command and post with the warm run:
-        # compiled closures / images / verdicts must hit
+        # the re-run task keeps its pre and post and its wp: the outline
+        # entailment pre |= wp must hit
+        assert report.counters["fingerprint_hits"] == len(SUITE) - 1
         assert artifacts_reused(report) > 0
 
     def test_sharded_report_aggregates_artifacts_reused(self, session):

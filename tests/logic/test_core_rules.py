@@ -267,8 +267,25 @@ class TestProofNodes:
         from repro.assertions import AssumingOracle
 
         oracle = AssumingOracle()
+        weak = not_emp_s
+        strong, mid = weak & box(V("x").eq(0)), weak & low("x")
+        cons = rule_cons(strong, weak, rule_skip(mid), oracle)
+        assert len(cons.assumptions) == 2
+        p = rule_seq(cons, rule_skip(weak))
+        assert p.assumptions == ()
+        assert p.all_assumptions() == cons.assumptions
+        assert "Cons (precondition)" in p.all_assumptions()[0]
+        assert "Cons (postcondition)" in p.all_assumptions()[1]
+
+    def test_reflexive_entailment_is_neither_asked_nor_assumed(self, uni_x2):
+        from repro.assertions import AssumingOracle
+
+        oracle = AssumingOracle()
         p = rule_cons(not_emp_s, not_emp_s, rule_skip(not_emp_s), oracle)
-        assert len(p.all_assumptions()) == 2
+        assert p.all_assumptions() == () and oracle.assumed == []
+        asked = make_oracle(uni_x2)
+        rule_cons(not_emp_s & low("x"), not_emp_s, rule_skip(not_emp_s), asked)
+        assert asked.method_counts() == {"brute": 1}
 
     def test_triple_validation(self):
         with pytest.raises(ProofError):

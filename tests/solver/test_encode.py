@@ -1,11 +1,17 @@
 """The hyper-assertion grounding: SAT verdicts must equal brute force."""
 
+import gc
+import os
 import random
+import subprocess
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.assertions.entail import EntailmentOracle, entails
 from repro.assertions.parser import parse_assertion
 from repro.assertions.semantic import (
@@ -16,7 +22,10 @@ from repro.assertions.semantic import (
 )
 from repro.assertions.sugar import box, emp_s, gni, low, not_emp_s
 from repro.assertions.syntax import (
+    HBin,
+    HFun,
     HLit,
+    HLog,
     HProg,
     HVar,
     SAnd,
@@ -327,16 +336,27 @@ class TestProjectionMemo:
         post = gni("h", "l")
         witness_body = post.body.body.body
         calls = []
-        original = encode._Grounder.ground
+        original = encode._Grounder._compile
 
-        def counting(self, node, sigma, delta):
-            if node is witness_body:
-                calls.append(node)
-            return original(self, node, sigma, delta)
+        def counting(self, node):
+            reads, values, make = original(self, node)
+            if node is not witness_body:
+                return reads, values, make
 
-        monkeypatch.setattr(encode._Grounder, "ground", counting)
+            def counted(width):
+                run = make(width)
+
+                def counted_run(sigma, delta):
+                    calls.append(node)
+                    return run(sigma, delta)
+
+                return counted_run
+
+            return reads, values, counted
+
+        monkeypatch.setattr(encode._Grounder, "_compile", counting)
         grounded = ground_assertion(post, states, uni.domain)
-        assert len(calls) <= 2 * 2 * 4
+        assert len(calls) == 2 * 2 * 4
         assert grounded == reference_ground(post, states, uni.domain, quotient=True)
         assert truth_table(grounded, states) == truth_table(
             reference_ground(post, states, uni.domain), states
@@ -395,6 +415,158 @@ class TestQuotient:
         assert not_emp_s.holds(cex, uni.domain)
         assert not post.holds(cex, uni.domain)
 
+
+
+def _raised(thunk):
+    """``(type, str)`` of what ``thunk()`` raises."""
+    with pytest.raises(Exception) as info:
+        thunk()
+    return type(info.value), str(info.value)
+
+
+class TestErrorParity:
+    """Grounding fails where evaluating the assertion fails, with the
+    same exception type and message as the Def. 12 interpreter
+    (``reference_ground`` runs ``SCmp.eval``).  One order differs and is
+    pinned as is: the compiled comparison reads both operands before it
+    reports an unknown operator, the interpreter reports it first."""
+
+    @staticmethod
+    def _at(body):
+        return SForallState("a", SExistsVal("v", body))
+
+    CASES = [
+        (_at(SCmp("==", pv("a", "x"), pv("b", "x"))), EvaluationError,
+         "unbound state variable 'b'"),
+        (_at(SCmp("==", pv("a", "x"), HVar("w"))), EvaluationError,
+         "unbound value variable 'w'"),
+        (_at(SCmp("==", pv("a", "nope"), HVar("v"))), KeyError, "'nope'"),
+        (_at(SCmp("==", HLog("a", "t"), HVar("v"))), KeyError, "'t'"),
+        (_at(SCmp("~~", pv("a", "x"), HVar("v"))), EvaluationError,
+         "unknown comparison '~~'"),
+        (_at(SCmp("==", HBin("??", pv("a", "nope"), HLit(1)), HVar("v"))),
+         EvaluationError, "unknown binary operator '??'"),
+        (_at(SCmp("==", HFun("nope", (pv("a", "x"),)), HVar("v"))),
+         EvaluationError, "unknown function 'nope'"),
+        # operands are read left to right
+        (_at(SCmp("==", HFun("max", (HVar("w"), pv("a", "nope"))), HLit(0))),
+         EvaluationError, "unbound value variable 'w'"),
+        # no quantifier at all
+        (SCmp("==", pv("a", "x"), HLit(0)), EvaluationError,
+         "unbound state variable 'a'"),
+        # a missing variable read only by a later conjunct
+        (SForallState("a", SAnd(SCmp(">=", pv("a", "x"), HLit(0)),
+                                SCmp("==", pv("a", "nope"), HLit(0)))),
+         KeyError, "'nope'"),
+    ]
+
+    @pytest.mark.parametrize("assertion, kind, message", CASES)
+    def test_same_error_as_the_interpreter(self, assertion, kind, message):
+        states = UNI.ext_states()
+        expected = (kind, message)
+        assert _raised(lambda: reference_ground(assertion, states, D)) == expected
+        assert _raised(lambda: ground_assertion(assertion, states, D)) == expected
+
+    def test_operands_are_read_before_an_unknown_comparison(self):
+        assertion = self._at(SCmp("~~", pv("a", "nope"), pv("b", "x")))
+        expected = (KeyError, "'nope'")
+        assert _raised(lambda: ground_assertion(assertion, STATES, D)) == expected
+
+    @pytest.mark.parametrize("assertion, kind, message", CASES)
+    def test_incremental_oracle_raises_it_and_recovers(self, assertion, kind, message):
+        oracle = encode.IncrementalEntailment(UNI.ext_states(), D)
+        assert _raised(lambda: oracle.entails(assertion, SBool(True))) == (kind, message)
+        assert _raised(lambda: oracle.entails(SBool(True), assertion)) == (kind, message)
+        # a failed pass leaves nothing behind that changes the next one
+        assert oracle.entails(box(V("x").eq(0)), low("x"))
+        assert not oracle.entails(not_emp_s, low("x"))
+
+    def test_unsupported_operand(self):
+        expected = (Unsupported, "cannot ground %r" % (TRUE_H,))
+        assert _raised(lambda: ground_assertion(TRUE_H, STATES, D)) == expected
+        wrapped = AndAssertion(low("x"), TRUE_H)
+        assert _raised(lambda: ground_assertion(wrapped, STATES, D)) == expected
+
+
+GNI_PRE = "forall <a>, <b>. a(l) == b(l)"
+GNI_PROG = "y := nonDet(); l := h xor y"
+GNI_POST = "forall <a>, <b>. exists <c>. c(h) == a(h) && c(l) == b(l)"
+
+
+class TestLifetime:
+    def test_dropped_session_frees_its_universe_states(self):
+        """Grounding state (partition classes, slot vectors) lives on the
+        session's oracle, not in a module-level cache: once the session
+        is gone, nothing keeps its universe's states alive."""
+        session = repro.Session(["h", "l", "y"], 0, 1, entailment="sat")
+        assert session.verify(GNI_PRE, GNI_PROG, GNI_POST).verdict is True
+        backend = session.oracle._incremental
+        assert backend is not None and backend.queries >= 1
+        state = weakref.ref(backend.universe[3])
+        del session, backend
+        gc.collect()
+        assert state() is None
+
+
+#: Grounds hyper-sat's GNI posts, their wp under its programs and
+#: generated assertions on one incremental oracle, then prints a digest
+#: of every formula's repr and of the CNF clauses they encode to.
+DIGEST_SCRIPT = """
+import hashlib, random
+from repro.assertions.parser import parse_assertion
+from repro.checker import Universe
+from repro.gen import GenConfig
+from repro.gen.assertions import gen_assertion
+from repro.lang.parser import parse_command
+from repro.logic.outline import wp_syntactic
+from repro.solver import encode
+from repro.solver.cnf import CNF, _encode
+from repro.values import IntRange
+
+posts = [parse_assertion(text) for text in (
+    "forall <a>, <b>. exists <c>. c(h) == a(h) && c(l) == b(l)",
+    "forall <f>, <g>. exists <k>. k(l) == g(l) && k(h) == f(h)",
+    "exists <a>, <b>. forall <c>. c(h) != a(h) || c(l) != b(l)",
+    "exists <s>, <t>. forall <u>. u(l) != t(l) || u(h) != s(h)",
+)]
+programs = ["y := nonDet(); l := h xor y", "y := nonDet(); l := max(l, y)",
+            "y := nonDet(); assume y <= 1; l := h + y"]
+corpus = posts + [wp_syntactic(parse_command(c), p) for c in programs for p in posts]
+config = GenConfig(pvars=("h", "l", "y"), lo=0, hi=1,
+                   state_names=("p", "q", "r"), max_assertion_depth=4)
+corpus += [gen_assertion(random.Random(i), config) for i in range(60)]
+uni = Universe(["h", "l", "y"], IntRange(0, 1))
+oracle = encode.IncrementalEntailment(uni.ext_states(), uni.domain)
+digest, cnf = hashlib.sha256(), CNF()
+for assertion in corpus:
+    try:
+        formula = oracle._ground(assertion)
+    except Exception as error:
+        digest.update(repr(error).encode())
+        continue
+    digest.update(repr(formula).encode())
+    digest.update(repr(_encode(formula, cnf)).encode())
+digest.update(repr(cnf.clauses).encode())
+print(len(corpus), digest.hexdigest())
+"""
+
+
+class TestDeterminism:
+    def test_grounding_does_not_depend_on_the_hash_seed(self):
+        """Slot, class and formula order must not follow set iteration
+        order, which changes with ``PYTHONHASHSEED``: CNF variable
+        numbering and so SAT models and witnesses would follow it."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", DIGEST_SCRIPT],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            outputs.add(result.stdout)
+        assert len(outputs) == 1
+        assert outputs.pop().split()[0] == "76"  # the script ran over the whole corpus
 
 
 class TestOneEncoder:

@@ -1,17 +1,19 @@
 """Wire codecs for every first-class result object.
 
 One registration per kind; see :mod:`repro.codec.wire` for the document
-format and versioning contract.  The encodings are *structural* where
-text would be lossy: syntactic assertions encode as expression trees
-(the wp calculus produces operators like ``xor`` that have no concrete
-assertion syntax), while commands — whose printer/parser round-trip is
-exact and property-tested — ship as concrete syntax.
+format and versioning contract.  The encodings are *structural*:
+syntactic assertions encode as expression trees (the wp calculus
+produces operators like ``xor`` that have no concrete assertion
+syntax), and commands encode as command trees, one node per
+constructor, so decoding a command builds it directly instead of
+running the program parser.  In both trees a variable is its bare name
+and a non-string literal its bare wire value.
 
 Registered kinds:
 
 ========================= ==================================================
 ``assertion``             :class:`~repro.assertions.syntax.SynAssertion`
-``command``               :class:`~repro.lang.ast.Command` (concrete syntax)
+``command``               :class:`~repro.lang.ast.Command` (command tree)
 ``ext-state``             :class:`~repro.semantics.state.ExtState`
 ``witness``               :class:`~repro.checker.counterexample.Witness`
 ``judgment-triple``       :class:`~repro.logic.judgment.Triple`
@@ -55,9 +57,20 @@ from ..checker.counterexample import Witness
 from ..conformance.differential import Disagreement, TrialOutcome
 from ..conformance.harness import FuzzReport
 from ..gen.triples import Trial, Triple as GenTriple
-from ..lang.ast import Command
-from ..lang.parser import parse_command
-from ..lang.printer import pretty
+from ..lang.ast import Assign, Assume, Choice, Command, Havoc, Iter, Seq, Skip
+from ..lang.expr import (
+    BAnd,
+    BLit,
+    BNot,
+    BOr,
+    BinOp,
+    Cmp,
+    FunApp,
+    Lit,
+    TupleLit,
+    UnOp,
+    Var,
+)
 from ..logic.judgment import ProofNode, Triple as JudgmentTriple
 from ..semantics.state import ExtState, State
 from .wire import WireError, decode, encode, register
@@ -90,12 +103,14 @@ def _dec_value(value):
 # ---------------------------------------------------------------------------
 
 def _enc_expr(expr):
-    if isinstance(expr, HLit):
-        return ["lit", _enc_value(expr.value)]
-    if isinstance(expr, HVar):
-        return ["var", expr.name]
     if isinstance(expr, HProg):
         return ["pvar", expr.state, expr.var]
+    if isinstance(expr, HLit):
+        if isinstance(expr.value, str):
+            return ["lit", expr.value]
+        return _enc_value(expr.value)
+    if isinstance(expr, HVar):
+        return expr.name
     if isinstance(expr, HLog):
         return ["lvar", expr.state, expr.var]
     if isinstance(expr, HBin):
@@ -108,13 +123,15 @@ def _enc_expr(expr):
 
 
 def _dec_expr(tree):
+    if isinstance(tree, str):
+        return HVar(tree)
+    if not isinstance(tree, list):
+        return HLit(_dec_value(tree))
     tag = tree[0]
-    if tag == "lit":
-        return HLit(_dec_value(tree[1]))
-    if tag == "var":
-        return HVar(tree[1])
     if tag == "pvar":
         return HProg(tree[1], tree[2])
+    if tag == "lit":
+        return HLit(tree[1])
     if tag == "lvar":
         return HLog(tree[1], tree[2])
     if tag == "bin":
@@ -197,14 +214,117 @@ def _dec_optional(node):
 
 
 # ---------------------------------------------------------------------------
-# commands — concrete syntax (round-trip is exact and property-tested)
+# commands — structural trees over program expressions and predicates
 # ---------------------------------------------------------------------------
+
+def _enc_prog_expr(expr):
+    if isinstance(expr, Var):
+        return expr.name
+    if isinstance(expr, Lit):
+        if isinstance(expr.value, str):
+            return ["lit", expr.value]
+        return _enc_value(expr.value)
+    if isinstance(expr, BinOp):
+        return ["bin", expr.op, _enc_prog_expr(expr.left), _enc_prog_expr(expr.right)]
+    if isinstance(expr, UnOp):
+        return ["un", expr.op, _enc_prog_expr(expr.operand)]
+    if isinstance(expr, FunApp):
+        return ["fun", expr.name, [_enc_prog_expr(a) for a in expr.args]]
+    if isinstance(expr, TupleLit):
+        return ["tuple", [_enc_prog_expr(i) for i in expr.items]]
+    raise WireError("no wire encoding for program expression %r" % (expr,))
+
+
+def _dec_prog_expr(tree):
+    if isinstance(tree, str):
+        return Var(tree)
+    if not isinstance(tree, list):
+        return Lit(_dec_value(tree))
+    tag = tree[0]
+    if tag == "lit":
+        return Lit(tree[1])
+    if tag == "bin":
+        return BinOp(tree[1], _dec_prog_expr(tree[2]), _dec_prog_expr(tree[3]))
+    if tag == "un":
+        return UnOp(tree[1], _dec_prog_expr(tree[2]))
+    if tag == "fun":
+        return FunApp(tree[1], tuple(_dec_prog_expr(a) for a in tree[2]))
+    if tag == "tuple":
+        return TupleLit(tuple(_dec_prog_expr(i) for i in tree[1]))
+    raise WireError("unknown program expression tag %r" % (tag,))
+
+
+def _enc_pred(pred):
+    if isinstance(pred, Cmp):
+        return ["cmp", pred.op, _enc_prog_expr(pred.left), _enc_prog_expr(pred.right)]
+    if isinstance(pred, BNot):
+        return ["not", _enc_pred(pred.operand)]
+    if isinstance(pred, BAnd):
+        return ["and", _enc_pred(pred.left), _enc_pred(pred.right)]
+    if isinstance(pred, BOr):
+        return ["or", _enc_pred(pred.left), _enc_pred(pred.right)]
+    if isinstance(pred, BLit):
+        return ["bool", pred.value]
+    raise WireError("no wire encoding for predicate %r" % (pred,))
+
+
+def _dec_pred(tree):
+    tag = tree[0]
+    if tag == "cmp":
+        return Cmp(tree[1], _dec_prog_expr(tree[2]), _dec_prog_expr(tree[3]))
+    if tag == "not":
+        return BNot(_dec_pred(tree[1]))
+    if tag == "and":
+        return BAnd(_dec_pred(tree[1]), _dec_pred(tree[2]))
+    if tag == "or":
+        return BOr(_dec_pred(tree[1]), _dec_pred(tree[2]))
+    if tag == "bool":
+        return BLit(tree[1])
+    raise WireError("unknown predicate tag %r" % (tag,))
+
+
+def _enc_command_tree(c):
+    if isinstance(c, Seq):
+        return ["seq", _enc_command_tree(c.first), _enc_command_tree(c.second)]
+    if isinstance(c, Assign):
+        return ["assign", c.var, _enc_prog_expr(c.expr)]
+    if isinstance(c, Havoc):
+        return ["havoc", c.var]
+    if isinstance(c, Assume):
+        return ["assume", _enc_pred(c.cond)]
+    if isinstance(c, Choice):
+        return ["choice", _enc_command_tree(c.left), _enc_command_tree(c.right)]
+    if isinstance(c, Iter):
+        return ["iter", _enc_command_tree(c.body)]
+    if isinstance(c, Skip):
+        return ["skip"]
+    raise WireError("no wire encoding for command node %r" % (c,))
+
+
+def _dec_command_tree(tree):
+    tag = tree[0]
+    if tag == "seq":
+        return Seq(_dec_command_tree(tree[1]), _dec_command_tree(tree[2]))
+    if tag == "assign":
+        return Assign(tree[1], _dec_prog_expr(tree[2]))
+    if tag == "havoc":
+        return Havoc(tree[1])
+    if tag == "assume":
+        return Assume(_dec_pred(tree[1]))
+    if tag == "choice":
+        return Choice(_dec_command_tree(tree[1]), _dec_command_tree(tree[2]))
+    if tag == "iter":
+        return Iter(_dec_command_tree(tree[1]))
+    if tag == "skip":
+        return Skip()
+    raise WireError("unknown command tag %r" % (tag,))
+
 
 register(
     "command",
     Command,
-    lambda c: {"text": pretty(c)},
-    lambda node: parse_command(node["text"]),
+    lambda c: {"tree": _enc_command_tree(c)},
+    lambda node: _dec_command_tree(node["tree"]),
 )
 
 

@@ -40,7 +40,7 @@ from ..errors import ReproError
 #: The version stamped on every top-level document.  Bump on ANY change
 #: to the wire shape of ANY kind, and regenerate the golden fixtures
 #: (``python tests/codec/test_golden.py --regen``).
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 #: The discriminator key present on every node.
 KIND_KEY = "$kind"

@@ -12,6 +12,7 @@ stipulation that "expression evaluation is total, such that
 division-by-zero and other errors cannot occur" (Sect. 3.1).
 """
 
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -38,12 +39,12 @@ def _index(a, i):
 
 
 BINOPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
     "//": _safe_div,
     "%": _safe_mod,
-    "xor": lambda a, b: a ^ b,
+    "xor": operator.xor,
     "min": min,
     "max": max,
     "++": _concat,
@@ -52,7 +53,7 @@ BINOPS = {
 """Binary operators: name -> total Python implementation."""
 
 UNOPS = {
-    "-": lambda a: -a,
+    "-": operator.neg,
     "abs": abs,
 }
 """Unary operators."""
@@ -66,12 +67,12 @@ FUNS = {
 """Named functions usable via :class:`FunApp` (the ``f(e)`` production)."""
 
 CMPS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 """Comparison operators for predicates."""
 

@@ -4,10 +4,14 @@ One :class:`VerificationServer` owns:
 
 - an asyncio TCP server speaking the newline-delimited envelope protocol
   (:mod:`repro.serve.protocol`);
-- a worker pool — processes by default (CPU-bound enumeration sidesteps
-  the GIL, exactly like ``verify_many(sharding="process")``), threads on
-  request (``executor="thread"``, the cheap option for tests and tiny
-  deployments);
+- a worker pool (:mod:`repro.serve.worker`) — by default up to
+  ``workers`` forked processes (CPU-bound enumeration sidesteps the
+  GIL), each on its own pipe that this server's event loop watches, so
+  a job crosses the process boundary once each way with no executor
+  threads in between; threads on request (``executor="thread"``, the
+  cheap option for tests and tiny deployments).  Children fork lazily,
+  on the first job that finds every running child busy; a child that
+  dies is reaped and replaced;
 - two tiers of stored results: a bounded in-memory tier of encoded
   result text (:data:`MEMORY_TIER_ENTRIES` entries, least recently used
   evicted) in front of the content-addressed on-disk
@@ -16,20 +20,24 @@ One :class:`VerificationServer` owns:
 
 Request lifecycle: parse envelope → check budgets and timeout → hash the
 embedded codec document into its store key → memory tier → disk store →
-on a miss, decode the document (a malformed one is rejected *here*,
-before any pool dispatch, with a typed error document), dispatch
-:func:`~repro.serve.worker.run_task_document` to the pool under the
-per-request timeout, put the encoded result in the memory tier, queue
-its record for the disk → respond.
+on a miss, hand the document and budgets to the pool under the
+per-request timeout.  The worker runs
+:func:`~repro.serve.worker.serve_document`: it decodes the document (a
+malformed one is rejected *there*, and comes back as the typed
+``malformed-document`` error document), infers the session, verifies
+and returns the result's ``json.dumps(..., sort_keys=True)`` text.  The
+loop puts that text in the memory tier, queues its record for the disk
+and responds; it never decodes the task nor re-encodes the result.
 
-A hit is never decoded: a key is only ever stored after its document
-decoded as a task, and the key folds in the codec ``schema_version``, so
-a malformed document cannot hit.  Both tiers hold results as the
-``json.dumps(result, sort_keys=True)`` text, and a verify response is
-that text spliced into the envelope, so the daemon neither re-encodes a
-stored result nor builds it as a dict.  A disk hit fills the memory
-tier; a memory-tier entry expires under ``store_ttl`` by its record's
-``stored_at`` stamp, like the disk record it mirrors.
+A hit is never decoded: a key is only ever stored after a worker
+decoded its document as a task, and the key folds in the codec
+``schema_version``, so a malformed document cannot hit.  Both tiers
+hold results as the ``json.dumps(result, sort_keys=True)`` text, and a
+verify response is that text spliced into the envelope, so the daemon
+neither re-encodes a stored result nor builds it as a dict.  A disk
+hit fills the memory tier; a memory-tier entry expires under
+``store_ttl`` by its record's ``stored_at`` stamp, like the disk record
+it mirrors.
 
 The store key folds in the server's semantic context (domain bounds,
 entailment method, oracle caps) and the request budgets, so a
@@ -48,12 +56,13 @@ it; a failed write is logged and counted, and its key is still answered
 from the memory tier.
 
 Shutdown is graceful: the listener closes first, open connections get to
-finish their in-flight request, the worker pool drains, the queued store
-writes land, and only then does :meth:`VerificationServer.wait_stopped`
-return.  A tripped per-request *timeout* answers that client
-immediately, but cannot preempt the worker — the job runs to completion
-(bounded by any budgets it carries) and its result is stored, so the
-retry is a store hit.
+finish their in-flight request, the worker pool finishes its running
+jobs and drops the queued ones, its children see their pipes close and
+are joined, the queued store writes land, and only then does
+:meth:`VerificationServer.wait_stopped` return.  A tripped per-request
+*timeout* answers that client immediately, but cannot preempt the
+worker — the job runs to completion (bounded by any budgets it carries)
+and its result is stored, so the retry is a store hit.
 """
 
 import asyncio
@@ -62,14 +71,11 @@ import signal
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 from ..api.sharding import default_shards
-from ..api.task import VerificationTask, clock
-from ..codec import WireError, from_wire
+from ..api.task import clock
 from .protocol import (
     ProtocolError,
     error_document,
@@ -80,7 +86,7 @@ from .protocol import (
     task_key,
 )
 from .store import ResultStore, StoreWriter, encode_record
-from .worker import run_task_document, spec_for_task
+from .worker import ProcessWorkers, ThreadWorkers, internal_message
 
 #: Default TCP port (chosen to be unremarkable and unprivileged).
 DEFAULT_PORT = 7341
@@ -158,7 +164,7 @@ class VerificationServer:
         self.verified = 0
         self.errors = {}
         self._server = None
-        self._executor = None
+        self._workers = None
         self._inflight = {}
         # key -> (stored_at, result text), least recently used first
         self._tier = OrderedDict()
@@ -170,22 +176,28 @@ class VerificationServer:
         self._shutdown_started = False
 
     # -- lifecycle -------------------------------------------------------
-    def _make_executor(self):
-        workers = self.config.workers
+    def _make_workers(self):
+        config = self.config
+        workers = config.workers
         if workers is None:
             workers = default_shards()
         if workers < 1:
             raise ValueError("workers must be >= 1, got %r" % (workers,))
-        if self.config.executor == "thread":
-            return ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-serve"
-            )
-        return ProcessPoolExecutor(max_workers=workers)
+        settings = {
+            "lo": config.lo,
+            "hi": config.hi,
+            "entailment": config.entailment,
+            "max_set_size": config.max_set_size,
+            "max_image_entries": config.max_image_entries,
+            "intra_task_workers": config.intra_task_workers,
+        }
+        pool = ThreadWorkers if config.executor == "thread" else ProcessWorkers
+        return pool(workers, settings)
 
     async def start(self):
-        """Bind the listener and spin up the worker pool."""
+        """Bind the listener and set up the (lazily forking) worker pool."""
         self._stopped = asyncio.Event()
-        self._executor = self._make_executor()
+        self._workers = self._make_workers()
         self._server = await asyncio.start_server(
             self._handle, self.config.host, self.config.port
         )
@@ -213,15 +225,12 @@ class VerificationServer:
             await asyncio.sleep(0.025)
         for writer in list(self._connections):
             writer.close()
-        loop = asyncio.get_event_loop()
-        if self._executor is not None:
+        if self._workers is not None:
             # drain in-flight worker jobs, drop queued ones
-            await loop.run_in_executor(
-                None, partial(self._executor.shutdown, True, cancel_futures=True)
-            )
+            await self._workers.close()
         # let the drained jobs queue their records, then write them all
         await asyncio.gather(*list(self._inflight.values()), return_exceptions=True)
-        await loop.run_in_executor(None, self._store_writer.close)
+        await asyncio.get_event_loop().run_in_executor(None, self._store_writer.close)
         # Free the memory tier on this thread, which allocated it: freed
         # later from the thread that collects the server, its text stays
         # scattered over this thread's malloc arena, whose resident size
@@ -289,11 +298,7 @@ class VerificationServer:
         except Exception as err:  # never kill the connection loop
             self.errors["internal"] = self.errors.get("internal", 0) + 1
             return error_response(
-                request_id,
-                op,
-                error_document(
-                    "internal", "%s: %s" % (type(err).__name__, err)
-                ),
+                request_id, op, error_document("internal", internal_message(err))
             )
 
     # -- the verify op ----------------------------------------------------
@@ -347,19 +352,8 @@ class VerificationServer:
         # worker job (and one store write) instead of racing duplicates
         pending = self._inflight.get(key)
         if pending is None:
-            # reject malformed documents before a worker sees them
-            try:
-                task = from_wire(document)
-            except WireError as err:
-                raise ProtocolError("malformed-document", str(err))
-            if not isinstance(task, VerificationTask):
-                raise ProtocolError(
-                    "malformed-document",
-                    "expected a task document, decoded a %s"
-                    % type(task).__name__,
-                )
             pending = asyncio.ensure_future(
-                self._run_and_store(key, task, document, budgets)
+                self._run_and_store(key, document, budgets)
             )
             self._inflight[key] = pending
             pending.add_done_callback(
@@ -414,25 +408,12 @@ class VerificationServer:
                 None, self._store_writer.flush
             )
 
-    async def _run_and_store(self, key, task, document, budgets):
-        """The shared per-key job: pool dispatch, then the memory tier and
-        the queued store write; resolves to the encoded result."""
-        config = self.config
-        spec = spec_for_task(
-            task,
-            lo=config.lo,
-            hi=config.hi,
-            entailment=config.entailment,
-            max_set_size=config.max_set_size,
-            max_image_entries=config.max_image_entries,
-            intra_task_workers=config.intra_task_workers,
-        )
-        result_document = await asyncio.get_event_loop().run_in_executor(
-            self._executor,
-            partial(run_task_document, spec, document, budgets),
-        )
+    async def _run_and_store(self, key, document, budgets):
+        """The shared per-key job: the worker pool decodes and runs the
+        document, then the result text goes to the memory tier and the
+        queued store write; resolves to that text."""
+        result_text = await self._workers.run(document, budgets)
         self.verified += 1
-        result_text = json.dumps(result_document, sort_keys=True)
         stored_at = time.time()
         self._remember(key, stored_at, result_text)
         self._store_writer.submit(

@@ -8,8 +8,11 @@ round-trip (the wire format is exactly what the ``--json`` CLI emits).
 """
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Proved, Refuted, Session, Undecided
 from repro.api.task import VerificationTask
@@ -135,6 +138,81 @@ class TestConformanceObjects:
         assert decoded.summary() == report.summary()
 
 
+class TestCommandTrees:
+    """Commands travel as trees: every constructor round-trips exactly,
+    and decoding one never runs the program parser."""
+
+    WIDE = GenConfig(pvars=("a", "b", "c"), hi=5, max_command_depth=4)
+
+    @staticmethod
+    def sugared(rng, config):
+        from repro.gen.programs import gen_command, gen_condition
+        from repro.lang.sugar import if_then, if_then_else, while_loop
+
+        cond = gen_condition(rng, config)
+        body = gen_command(rng, config, max_depth=2)
+        other = gen_command(rng, config, max_depth=2)
+        return [
+            if_then_else(cond, body, other),
+            if_then(cond, body),
+            while_loop(cond, body),
+            while_loop(cond.negate(), if_then_else(cond, other, body)),
+        ]
+
+    @given(st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_generated_commands_and_sugar_roundtrip(self, seed):
+        from repro.gen.programs import gen_command
+        from repro.lang.sugar import match_if_then_else, match_while
+
+        rng = random.Random(seed)
+        command = gen_command(rng, self.WIDE)
+        assert roundtrip(command) == command
+        for sugared in self.sugared(rng, self.WIDE):
+            decoded = roundtrip(sugared)
+            assert match_while(decoded) == match_while(sugared)
+            assert match_if_then_else(decoded) == match_if_then_else(sugared)
+
+    def test_every_node_kind_roundtrips(self):
+        from repro.lang.ast import Assign, Assume, Choice, Havoc, Iter, Skip, seq
+        from repro.lang.expr import BLit, BNot, FunApp, Lit, TupleLit, UnOp, V
+        from repro.lang.sugar import rand_int_bounded
+
+        last = Assign("b", Lit(True))
+        command = seq(
+            Skip(),
+            Assign("s", Lit("x")),  # not the variable x
+            Choice(Iter(Havoc("z")), Skip()),
+            rand_int_bounded("y", 0, V("x") + 2),
+            Assign("t", TupleLit((V("x"), Lit((1, (True, 0)))))),
+            Assign("n", FunApp("len", (V("t"),)) - UnOp("abs", -V("x"))),
+            Assume(BNot(BLit(False)) & (V("x").ne(1) | V("y").ge(V("x") * 3))),
+            last,
+        )
+        decoded = roundtrip(command)
+        while decoded != last:
+            decoded = decoded.second
+        assert decoded.expr.value is True  # a bool literal stays a bool
+
+    def test_decoding_never_parses(self, monkeypatch):
+        import repro.lang.parser as parser
+
+        document = through_json(to_wire(regenerate(3, 0, CONFIG).triple))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the codec parsed program text")
+
+        monkeypatch.setattr(parser, "_tokenize", refuse)
+        assert from_wire(document).command is not None
+
+    def test_unknown_command_tag_is_a_wire_error(self):
+        for tree in (["jump"], ["assign", "x", ["ptr", 1]], ["assume", ["maybe"]]):
+            with pytest.raises(WireError, match="tag"):
+                from_wire(
+                    {"$kind": "command", "tree": tree, "schema_version": SCHEMA_VERSION}
+                )
+
+
 class TestWireContract:
     def test_wrong_schema_version_refused(self):
         document = to_wire(Proved("exhaustive", "oracle"))
@@ -163,6 +241,18 @@ class TestWireContract:
                     "schema_version": SCHEMA_VERSION,
                 }
             )
+
+    def test_leaves_are_bare_and_a_string_literal_is_not_a_variable(self):
+        from repro.assertions.syntax import HBin, HLit, HProg, HVar, SCmp, SForallVal
+
+        assertion = SForallVal(
+            "v", SCmp("==", HProg("a", "x"), HBin("+", HVar("v"), HLit(1)))
+        )
+        tree = to_wire(assertion)["tree"]
+        assert tree == ["forall-val", "v", ["cmp", "==", ["pvar", "a", "x"], ["bin", "+", "v", 1]]]
+        roundtrip(assertion)
+        literal = SCmp("==", HLit("v"), HVar("v"))
+        assert roundtrip(literal).left == HLit("v")
 
     def test_semantic_assertion_rejected_loudly(self):
         from repro.assertions.semantic import sem as sem_assertion

@@ -147,15 +147,15 @@ class TestTimeout:
     def test_slow_request_times_out_then_lands_in_store(
         self, server, client, monkeypatch
     ):
-        import repro.serve.server as server_module
+        import repro.serve.worker as worker_module
 
-        real = server_module.run_task_document
+        real = worker_module.serve_document
 
-        def slow(spec, document, budgets=None):
+        def slow(settings, document, budgets):
             time.sleep(0.5)
-            return real(spec, document, budgets)
+            return real(settings, document, budgets)
 
-        monkeypatch.setattr(server_module, "run_task_document", slow)
+        monkeypatch.setattr(worker_module, "serve_document", slow)
         with pytest.raises(ServeRequestError) as info:
             client.verify(PRE, PROG, POST, timeout=0.05)
         assert info.value.code == "timeout"

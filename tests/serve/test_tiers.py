@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-import repro.serve.server as server_module
+import repro.serve.worker as worker_module
 from repro.api.task import VerificationTask
 from repro.assertions.parser import parse_assertion
 from repro.codec import to_wire
@@ -48,15 +48,16 @@ def config_for(store_path, **overrides):
 
 @pytest.fixture
 def decodes(monkeypatch):
-    """Counts the server's ``from_wire`` calls."""
+    """Counts the worker's ``from_wire`` calls (the thread pool runs the
+    worker in this process)."""
     calls = []
-    real = server_module.from_wire
+    real = worker_module.from_wire
 
     def counting(document):
         calls.append(document)
         return real(document)
 
-    monkeypatch.setattr(server_module, "from_wire", counting)
+    monkeypatch.setattr(worker_module, "from_wire", counting)
     return calls
 
 

@@ -1,5 +1,7 @@
 """The worker-side execution path: spec inference, session reuse."""
 
+import json
+
 import pytest
 
 from repro.api.sharding import SessionSpec
@@ -7,10 +9,11 @@ from repro.api.task import VerificationTask
 from repro.assertions.parser import parse_assertion
 from repro.codec import from_wire, to_wire
 from repro.lang.parser import parse_command
+from repro.serve.protocol import ProtocolError
 from repro.serve.worker import (
     MAX_SESSIONS,
     clear_sessions,
-    run_task_document,
+    serve_document,
     session_for,
     session_registry_size,
     spec_for_task,
@@ -104,15 +107,16 @@ class TestSessionRegistry:
 
 
 class TestRunTaskDocument:
+    """:func:`serve_document`: one task document → result text."""
+
     def test_round_trip_matches_inline_run(self):
         task = make_task(
             "forall <a>. a(x) == 0", "x := 0", "forall <a>. a(x) == 0"
         )
-        spec = spec_for_task(task)
-        document = to_wire(task)
-        result_doc = run_task_document(spec, document)
-        remote = from_wire(result_doc)
-        inline = spec.build()._run_task(task, None, {})
+        text = serve_document({}, to_wire(task), {})
+        remote = from_wire(json.loads(text))
+        assert text == json.dumps(to_wire(remote), sort_keys=True)
+        inline = spec_for_task(task).build()._run_task(task, None, {})
         assert remote.verdict is True
         assert remote.verdict == inline.verdict
         assert remote.method == inline.method
@@ -121,14 +125,12 @@ class TestRunTaskDocument:
         task = make_task(
             "forall <a>. a(x) == 0", "x := 0", "forall <a>. a(x) == 0"
         )
-        spec = spec_for_task(task)
-        result_doc = run_task_document(
-            spec, to_wire(task), budgets={"syntactic-wp": 100.0}
-        )
-        assert from_wire(result_doc).verdict is True
+        text = serve_document({}, to_wire(task), {"syntactic-wp": 100.0})
+        assert from_wire(json.loads(text)).verdict is True
 
     def test_non_task_document_rejected(self):
         task = make_task("forall <a>. a(x) == 0", "skip", "forall <a>. a(x) == 0")
-        spec = spec_for_task(task)
-        with pytest.raises(TypeError):
-            run_task_document(spec, to_wire(task.pre))
+        for document in (to_wire(task.pre), {"$kind": "task"}):
+            with pytest.raises(ProtocolError) as info:
+                serve_document({}, document, {})
+            assert info.value.code == "malformed-document"

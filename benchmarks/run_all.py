@@ -190,7 +190,7 @@ def run_bench(entry, mode, quick, env, timeout):
         "ok": ok,
         "elapsed": round(elapsed, 3),
         "ratios": ratios,
-        # scaling ratios (sharding, intra-task parallelism) only mean
+        # scaling ratios (sharding) only mean
         # anything under the CPU count they were measured on; --compare
         # refuses to gate across a mismatch
         "cpus": os.cpu_count(),

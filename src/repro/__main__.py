@@ -172,11 +172,10 @@ def build_fuzz_parser():
         "the per-trial check kinds (engine-vs-naive, "
         "terminating-engine-vs-naive, sampled-engine-vs-naive, "
         "syntactic-vs-oracle, chain-vs-oracle, symbolic-vs-engine, "
-        "hl-embedding, il-embedding, store-vs-inline, incremental-vs-cold, "
-        "parallel-vs-sequential); "
+        "hl-embedding, il-embedding, store-vs-inline, incremental-vs-cold); "
         "prefix a selector with '-' to exclude instead, e.g. --checks symbolic "
         "or --checks=-embedding; --checks list prints the known kinds and "
-        "exits (default: run all eleven)",
+        "exits (default: run all ten)",
     )
     parser.add_argument(
         "--list-checks",

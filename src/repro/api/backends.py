@@ -80,31 +80,11 @@ def _scan_initial_sets(task, session, budget, max_size=None):
     enumerated set refutes the triple) or ``_EXHAUSTED`` (budget tripped
     after ``checked`` sets).
     """
-    engine = session.engine
-    scanner = engine._parallel_scanner()
-    if scanner is not None:
-        outcome = scanner.run(
-            task.pre,
-            task.command,
-            task.post,
-            max_size=max_size,
-            expired=lambda: _expired(budget),
-        )
-        if outcome is not None:
-            kind, payload = outcome
-            if kind == "exhausted":
-                return _EXHAUSTED, None, payload
-            result = payload
-            if result.valid:
-                return _PASSED, None, result.checked_sets
-            witness = Witness(result.witness_pre, result.witness_post)
-            return _REFUTED, witness, result.checked_sets
-        # ineligible scan: fall through to the serial enumeration
     # walk raw id-bitmasks and decode only the refuting candidate —
     # accepted sets never leave machine-word form
     universe = session.universe
     checked = 0
-    for chosen, acc, ok in engine.scan_masks(
+    for chosen, acc, ok in session.engine.scan_masks(
         task.pre, task.command, task.post, max_size=max_size
     ):
         if _expired(budget):

@@ -225,11 +225,9 @@ class Report(WireCodec):
     entailment-memo, image-cache (and its bitset mask tier) and
     compile-cache hits, misses and evictions, the entailment queries
     each method decided (``entailment_sat`` / ``entailment_brute``),
-    the intra-task partitioned scan's ``parallel_*`` work
-    (:mod:`repro.checker.parallel`), and the incremental subsystem's
-    ``fingerprint_hits`` (whole outcomes :meth:`Session.reverify`
-    reused) and ``cone_invalidations`` (artifacts a declared edit
-    dropped).  Process-sharded batches sum their workers' deltas.  The
+    and the incremental subsystem's ``fingerprint_hits`` (whole outcomes
+    :meth:`Session.reverify` reused) and ``cone_invalidations``
+    (artifacts a declared edit dropped).  Process-sharded batches sum their workers' deltas.  The
     map is open: a new counter is one more key, not a new field.
     Per-backend decision counts are derived from the results themselves
     (:meth:`decided_by_backend`).
@@ -311,8 +309,6 @@ class Report(WireCodec):
             "  incremental: %(fingerprint_hits)d fingerprint hits, "
             "%(cone_invalidations)d cone invalidations, %(artifacts_reused)d "
             "artifacts reused" % c,
-            "  parallel: %(parallel_blocks)d blocks, %(parallel_cancelled)d "
-            "cancelled, %(parallel_scan_states)d states scanned" % c,
         ]
         for index, result in enumerate(self.results):
             verdict = {True: "verified", False: "refuted", None: "undecided"}[
@@ -387,13 +383,6 @@ class Session:
         ``None``: unbounded).  Long-lived sessions enumerating many
         distinct ``(command, state)`` pairs can cap memory; evicted
         entries re-execute on demand, so verdicts never change.
-    intra_task_workers:
-        Optional worker-process count (``>= 2``) for intra-task
-        parallelism: eligible oracle scans are partitioned over the
-        mask-index space and merged to the canonical (lowest-index)
-        witness — see :mod:`repro.checker.parallel`.  Orthogonal to
-        ``verify_many(sharding=...)``, which parallelizes *across*
-        tasks; the two compose.  Default ``None``: serial scans.
 
     Example::
 
@@ -417,7 +406,6 @@ class Session:
         budgets=None,
         max_set_size=None,
         max_image_entries=None,
-        intra_task_workers=None,
     ):
         self.universe = Universe(pvars, IntRange(lo, hi), lvars=lvars)
         self.entailment = entailment
@@ -443,13 +431,7 @@ class Session:
         # One image cache for the whole session: per-state executions
         # persist across tasks in a batch and across verify_many threads.
         self.images = ImageCache(max_entries=max_image_entries, deps=self.deps)
-        self.intra_task_workers = intra_task_workers
-        self.engine = CheckerEngine(
-            self.universe,
-            self.images,
-            compile_cache=self.compiles,
-            parallel=intra_task_workers,
-        )
+        self.engine = CheckerEngine(self.universe, self.images, compile_cache=self.compiles)
         self.max_set_size = max_set_size
         self.backends = (
             tuple(backends) if backends is not None else default_backends(max_set_size)
@@ -464,16 +446,6 @@ class Session:
         self._ledger = {}
         self._fingerprint_hits = 0
         self._cone_invalidations = 0
-
-    def close(self):
-        """Release worker processes held by intra-task parallelism.
-
-        Idempotent and optional — pools also shut down when the session
-        is garbage-collected or at interpreter exit, and a closed
-        session transparently restarts its pool on the next eligible
-        parallel scan.  Serial sessions are no-ops.
-        """
-        self.engine.close()
 
     # -- parsing (memoized) ------------------------------------------------
     def parse_program(self, program):
@@ -803,7 +775,6 @@ class Session:
         methods = self.oracle.method_counts()
         images = self.images.stats()
         compiles = self.compiles.stats()
-        par = self.engine.parallel_stats()
         return {
             "entailment_hits": entail["hits"],
             "entailment_misses": entail["misses"],
@@ -818,9 +789,6 @@ class Session:
             "compile_hits": compiles["hits"],
             "compile_misses": compiles["misses"],
             "compile_fallbacks": sum(compiles["fallbacks"].values()),
-            "parallel_blocks": par["blocks"],
-            "parallel_cancelled": par["cancelled"],
-            "parallel_scan_states": par["scan_states"],
             "fingerprint_hits": self._fingerprint_hits,
             "cone_invalidations": self._cone_invalidations,
         }

@@ -60,7 +60,6 @@ class SessionSpec:
     entailment: str
     max_set_size: Optional[int]
     max_image_entries: Optional[int] = None
-    intra_task_workers: Optional[int] = None
 
     @classmethod
     def of(cls, session):
@@ -89,7 +88,6 @@ class SessionSpec:
             entailment=session.entailment,
             max_set_size=session.max_set_size,
             max_image_entries=session.images.max_entries,
-            intra_task_workers=session.intra_task_workers,
         )
 
     def build(self):
@@ -103,7 +101,6 @@ class SessionSpec:
             entailment=self.entailment,
             max_set_size=self.max_set_size,
             max_image_entries=self.max_image_entries,
-            intra_task_workers=self.intra_task_workers,
         )
 
 
@@ -138,20 +135,9 @@ def _init_worker(spec):
 
 def _run_chunk(chunk, budgets):
     """Verify one chunk of task documents → outcome documents + cache delta."""
-    session = _WORKER_SESSION
-    try:
-        return _run_chunk_inner(session, chunk, budgets)
-    finally:
-        # tear the nested intra-task pool down while this shard worker is
-        # still alive: leaving it to interpreter-exit finalizers
-        # deadlocks the executor join (the engine rebuilds the pool
-        # lazily if this worker picks up another chunk)
-        session.engine.close()
-
-
-def _run_chunk_inner(session, chunk, budgets):
     from .session import counter_delta
 
+    session = _WORKER_SESSION
     before = session.counters()
     out = []
     for index, document in chunk:

@@ -41,12 +41,7 @@ times, and both assertions re-walked over every set.
 
 The overall cost drops from the naive ``O(2**n · exec · eval)`` to
 ``O(n · exec + 2**n · Δ)``, where ``Δ`` is one machine-word image union
-plus one evaluator push.  With intra-task parallelism (``parallel=P``,
-:mod:`repro.checker.parallel`) the enumeration term divides across
-cores: the image table is still built once in the parent, only the scan
-is partitioned, and the merge keeps verdict/witness/``checked_sets``
-byte-identical to the serial scan (the canonical counterexample is the
-*lowest-index* refutation across blocks).
+plus one evaluator push.
 
 :meth:`CheckerEngine.scan_masks` is the one enumeration; results
 (:class:`CheckResult` witnesses) decode masks back to frozensets only at
@@ -61,7 +56,6 @@ check enforce.
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from math import comb
 from typing import Optional
 
 from ..compile import (
@@ -401,29 +395,6 @@ def state_prefilter_mask(pre, universe, compile_cache=None):
     return mask
 
 
-def count_candidates(n, cap):
-    """``Σ_{k<=cap} C(n, k)`` — the size-ordered enumeration's length."""
-    return sum(comb(n, k) for k in range(cap + 1))
-
-
-def _unrank_combination(n, k, rank):
-    """The ``rank``-th (0-based) size-``k`` combination of ``range(n)``
-    in lexicographic position order — the order :meth:`scan_masks`'
-    recursion enumerates one size class in."""
-    out = []
-    c = 0
-    for d in range(k):
-        while True:
-            rest = comb(n - c - 1, k - d - 1)
-            if rank < rest:
-                out.append(c)
-                c += 1
-                break
-            rank -= rest
-            c += 1
-    return tuple(out)
-
-
 class CheckerEngine:
     """Decides hyper-triples over one universe via precomputed images
     and compiled incremental assertion evaluation.
@@ -441,76 +412,14 @@ class CheckerEngine:
         An optional shared :class:`~repro.compile.cache.CompileCache`
         for compiled commands, assertions and prefilter predicates
         (default: the module-wide cache).
-    parallel:
-        ``None`` (default) scans serially.  An integer ``P >= 2``
-        partitions each large-enough :meth:`check` scan into contiguous
-        blocks of the size-ordered enumeration and fans them out to a
-        persistent ``P``-worker process pool
-        (:class:`~repro.checker.parallel.ParallelScanner`); the merge
-        accepts the lowest-index refutation, so verdict, witness and
-        ``checked_sets`` stay byte-identical to the serial scan.
-        Ineligible scans (pinned
-        ``EqualsSet`` preconditions, non-wire-encodable assertions,
-        universes off the ``SessionSpec`` grid, scans smaller than
-        ``parallel_min_candidates``) silently run serially.
-    parallel_min_candidates:
-        Candidate-count floor below which a parallel-capable engine
-        still scans serially (default ``4096`` — below that the pool
-        round-trips dominate).  ``0`` forces the parallel path, used by
-        the ``parallel-vs-sequential`` conformance check and the parity
-        tests.
     """
 
-    #: Scans with fewer candidates than this run serially even on a
-    #: parallel engine — block submission costs ~a millisecond each.
-    PARALLEL_MIN_CANDIDATES = 4096
-
-    def __init__(self, universe, cache=None, compile_cache=None, parallel=None,
-                 parallel_min_candidates=None):
+    def __init__(self, universe, cache=None, compile_cache=None):
         self.universe = universe
         self.cache = cache if cache is not None else ImageCache()
         self.compiles = compile_cache
-        self.parallel = parallel if parallel and parallel >= 2 else None
-        self.parallel_min_candidates = (
-            self.PARALLEL_MIN_CANDIDATES
-            if parallel_min_candidates is None
-            else parallel_min_candidates
-        )
-        self._scanner = None
         self._executors = {}
         self._mask_fns = {}
-
-    def _parallel_scanner(self):
-        """The lazily-built :class:`~repro.checker.parallel.ParallelScanner`
-        behind ``parallel=P`` engines, or ``None``."""
-        if self.parallel is None:
-            return None
-        if self._scanner is None:
-            from .parallel import ParallelScanner
-
-            self._scanner = ParallelScanner(
-                self,
-                workers=self.parallel,
-                min_candidates=self.parallel_min_candidates,
-            )
-        return self._scanner
-
-    def parallel_stats(self):
-        """``{"blocks": ..., "cancelled": ..., "scan_states": ...}`` —
-        cumulative partitioned-scan counters (all zero on serial
-        engines and on parallel engines that never engaged)."""
-        if self._scanner is None:
-            return {"blocks": 0, "cancelled": 0, "scan_states": 0}
-        return self._scanner.stats()
-
-    def close(self):
-        """Shut down the parallel worker pool, if one was ever started.
-
-        Idempotent; a closed engine transparently rebuilds the pool on
-        the next eligible parallel scan.  Serial engines are unaffected.
-        """
-        if self._scanner is not None:
-            self._scanner.close()
 
     # -- compiled artifacts ------------------------------------------------
     def _executor(self, command):
@@ -566,17 +475,6 @@ class CheckerEngine:
         return out
 
     # -- enumeration -------------------------------------------------------
-    def filtered_ids(self, pre, prefilter=True):
-        """The state ids :meth:`scan_masks` enumerates over, in order:
-        every interned grid id, minus the states a prefilterable
-        precondition proves can never appear in a satisfying set."""
-        ids = range(len(self.universe.ext_states()))
-        if prefilter:
-            kmask = state_prefilter_mask(pre, self.universe, self.compiles)
-            if kmask is not None:
-                ids = [i for i in ids if (kmask >> i) & 1]
-        return list(ids)
-
     def scan_masks(
         self,
         pre,
@@ -586,9 +484,6 @@ class CheckerEngine:
         max_states=100000,
         prefilter=True,
         pin_equals_set=True,
-        start=0,
-        ids=None,
-        images=None,
     ):
         """Lazily walk the candidate initial sets as id bitmasks.
 
@@ -621,16 +516,6 @@ class CheckerEngine:
         contain states outside the universe (the terminating check's
         Def. 24 quantifier only ranges over universe subsets).
 
-        The three resumption parameters exist for the partitioned scan
-        (:mod:`repro.checker.parallel`): ``start`` skips the first
-        ``start`` candidates of the enumeration *without evaluating
-        them* (the k-th size class is entered by combinatorial
-        unranking, so the skip is O(k), not O(start)); ``ids``
-        overrides the enumerated id list (bypassing the prefilter
-        recomputation — the parent already applied it); ``images`` maps
-        each id to its precomputed image mask, so the scan performs no
-        executions at all.  A resumed scan yields exactly the suffix
-        the full enumeration would from candidate ``start`` on.
         """
         from ..assertions.semantic import EqualsSet
 
@@ -639,8 +524,6 @@ class CheckerEngine:
         mask_of = universe.mask_of
         if pin_equals_set and isinstance(pre, EqualsSet):
             if max_size is not None and len(pre.target) > max_size:
-                return
-            if start:  # the pinned path has exactly one candidate
                 return
             subset = pre.target
             if not pre.holds(subset, domain):
@@ -652,14 +535,19 @@ class CheckerEngine:
             return
         states = universe.ext_states()
         state_of = universe.state_of
-        if ids is None:
-            ids = self.filtered_ids(pre, prefilter)
+        # every interned id, minus the states a prefilterable
+        # precondition proves can never appear in a satisfying set
+        ids = range(len(states))
+        if prefilter:
+            kmask = state_prefilter_mask(pre, universe, self.compiles)
+            if kmask is not None:
+                ids = [i for i in ids if (kmask >> i) & 1]
         n = len(ids)
         cap = n if max_size is None else min(max_size, n)
 
         cpre = self._compile(pre)
         cpost = self._compile(post)
-        imask = {} if images is None else images
+        imask = {}
 
         def img(i):
             m = imask.get(i)
@@ -718,7 +606,7 @@ class CheckerEngine:
                 entry[1] = True
             flushed[0] = len(pend)
 
-        def rec(lo, chosen, acc, need, edge):
+        def rec(lo, chosen, acc, need):
             if need == 0:
                 if cpre.constant:
                     ok_pre = const_value("pre", cpre)
@@ -738,22 +626,15 @@ class CheckerEngine:
                     ok = post_eval.value()
                 yield chosen, acc, ok
                 return
-            # A resumed scan descends its first branch along the
-            # unranked ``edge`` positions, then falls back to the full
-            # enumeration — the pushes performed on the way down are
-            # exactly those the uninterrupted enumeration would carry.
-            begin = edge[0] if edge is not None else lo
-            for idx in range(begin, n - need + 1):
+            for idx in range(lo, n - need + 1):
                 i = ids[idx]
                 image = img(i)
-                sub_edge = edge[1:] if edge is not None and idx == begin else None
                 if pre_eval is not None:
                     pre_eval.push_state(states[i])
                 if post_eval is not None:
                     entry = [image & ~acc, False]
                     pend.append(entry)
-                    for item in rec(idx + 1, chosen | (1 << i), acc | image,
-                                    need - 1, sub_edge):
+                    for item in rec(idx + 1, chosen | (1 << i), acc | image, need - 1):
                         yield item
                     pend.pop()
                     if entry[1]:
@@ -764,45 +645,20 @@ class CheckerEngine:
                             new ^= 1 << top
                         flushed[0] = len(pend)
                 else:
-                    for item in rec(idx + 1, chosen | (1 << i), acc | image,
-                                    need - 1, sub_edge):
+                    for item in rec(idx + 1, chosen | (1 << i), acc | image, need - 1):
                         yield item
                 if pre_eval is not None:
                     pre_eval.pop_state(states[i])
 
-        k0 = 0
-        first = None
-        if start:
-            remaining = start
-            while k0 <= cap and remaining >= comb(n, k0):
-                remaining -= comb(n, k0)
-                k0 += 1
-            if k0 > cap:
-                return  # start points past the enumeration's end
-            if remaining:
-                first = _unrank_combination(n, k0, remaining)
-        for k in range(k0, cap + 1):
-            for item in rec(0, 0, 0, k, first if k == k0 else None):
+        for k in range(cap + 1):
+            for item in rec(0, 0, 0, k):
                 yield item
 
     # -- checks ------------------------------------------------------------
     def check(self, pre, command, post, max_size=None, max_states=100000,
               prefilter=True):
         """Decide ``|= {pre} command {post}`` — engine counterpart of
-        :func:`~repro.checker.validity.check_triple`.
-
-        On a ``parallel=P`` engine, eligible scans fan out across the
-        worker pool; the merged result is byte-identical to the serial
-        scan (see :mod:`repro.checker.parallel`), and ineligible scans
-        fall through to the serial path below.
-        """
-        scanner = self._parallel_scanner()
-        if scanner is not None:
-            outcome = scanner.run(
-                pre, command, post, max_size, max_states, prefilter
-            )
-            if outcome is not None:
-                return outcome[1]  # no budget: always ("done", result)
+        :func:`~repro.checker.validity.check_triple`."""
         checked = 0
         for chosen, acc, ok in self.scan_masks(
             pre, command, post, max_size, max_states, prefilter

@@ -109,13 +109,6 @@ class Universe:
             self._intern()
         return self._by_id[i]
 
-    def interned(self):
-        """The number of ids assigned so far (``>= size()`` once images
-        escaping the grid have been interned)."""
-        if self._ids is None:
-            self._intern()
-        return len(self._by_id)
-
     def mask_of(self, states):
         """Encode an iterable of extended states as an id bitmask."""
         index_of = self.index_of

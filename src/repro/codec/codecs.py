@@ -59,6 +59,10 @@ from ..conformance.harness import FuzzReport
 from ..gen.triples import Trial, Triple as GenTriple
 from ..lang.ast import Assign, Assume, Choice, Command, Havoc, Iter, Seq, Skip
 from ..lang.expr import (
+    BINOPS,
+    CMPS,
+    FUNS,
+    UNOPS,
     BAnd,
     BLit,
     BNot,
@@ -95,6 +99,12 @@ def _dec_value(value):
     if isinstance(value, list):  # a JSON round-trip can only produce $tuple
         raise WireError("bare list is not a wire value: %r" % (value,))
     return value
+
+
+def _unknown(what, name):
+    """An operator name no table defines makes a malformed document, not
+    a task that fails at evaluation."""
+    raise WireError("unknown %s %r" % (what, name))
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +145,12 @@ def _dec_expr(tree):
     if tag == "lvar":
         return HLog(tree[1], tree[2])
     if tag == "bin":
+        if tree[1] not in BINOPS:
+            _unknown("binary operator", tree[1])
         return HBin(tree[1], _dec_expr(tree[2]), _dec_expr(tree[3]))
     if tag == "fun":
+        if tree[1] not in FUNS:
+            _unknown("function", tree[1])
         return HFun(tree[1], tuple(_dec_expr(a) for a in tree[2]))
     if tag == "tuple":
         return HTupleE(tuple(_dec_expr(i) for i in tree[1]))
@@ -168,6 +182,8 @@ def _dec_assertion_tree(tree):
     if tag == "bool":
         return SBool(tree[1])
     if tag == "cmp":
+        if tree[1] not in CMPS:
+            _unknown("comparison", tree[1])
         return SCmp(tree[1], _dec_expr(tree[2]), _dec_expr(tree[3]))
     if tag == "and":
         return SAnd(_dec_assertion_tree(tree[1]), _dec_assertion_tree(tree[2]))
@@ -244,10 +260,16 @@ def _dec_prog_expr(tree):
     if tag == "lit":
         return Lit(tree[1])
     if tag == "bin":
+        if tree[1] not in BINOPS:
+            _unknown("binary operator", tree[1])
         return BinOp(tree[1], _dec_prog_expr(tree[2]), _dec_prog_expr(tree[3]))
     if tag == "un":
+        if tree[1] not in UNOPS:
+            _unknown("unary operator", tree[1])
         return UnOp(tree[1], _dec_prog_expr(tree[2]))
     if tag == "fun":
+        if tree[1] not in FUNS:
+            _unknown("function", tree[1])
         return FunApp(tree[1], tuple(_dec_prog_expr(a) for a in tree[2]))
     if tag == "tuple":
         return TupleLit(tuple(_dec_prog_expr(i) for i in tree[1]))
@@ -271,6 +293,8 @@ def _enc_pred(pred):
 def _dec_pred(tree):
     tag = tree[0]
     if tag == "cmp":
+        if tree[1] not in CMPS:
+            _unknown("comparison", tree[1])
         return Cmp(tree[1], _dec_prog_expr(tree[2]), _dec_prog_expr(tree[3]))
     if tag == "not":
         return BNot(_dec_pred(tree[1]))

@@ -113,12 +113,10 @@ def _compile_syn(node, values):
         value = node.value
         return lambda S, sigma, delta: value
     if t is SCmp:
-        fn = compile_cmp(node.op)
-        left = compile_hexpr(node.left)
-        right = compile_hexpr(node.right)
-        return lambda S, sigma, delta: fn(
-            left(sigma, delta), right(sigma, delta)
+        fn, left, right = compile_cmp(
+            node.op, compile_hexpr(node.left), compile_hexpr(node.right)
         )
+        return lambda S, sigma, delta: fn(left(sigma, delta), right(sigma, delta))
     if t is SAnd:
         left = _compile_syn(node.left, values)
         right = _compile_syn(node.right, values)

@@ -98,15 +98,13 @@ def compile_hexpr(hexpr, read=None):
     raise TypeError("not a hyper-expression: %r" % (hexpr,))
 
 
-def compile_cmp(op):
-    """The comparison implementation for an atomic ``e1 ⪰ e2`` — raising
-    (at call time) for unknown operators, like the interpreter."""
+def compile_cmp(op, left, right):
+    """``(fn, left, right)`` for an atomic ``e1 ⪰ e2`` over compiled
+    operands, to be called as ``fn(left(sigma, delta), right(sigma,
+    delta))``.  For an unknown operator the returned ``left`` raises, so
+    the error comes at call time and before either operand is read, like
+    the interpreter's."""
     fn = CMPS.get(op)
     if fn is None:
-        message = "unknown comparison %r" % op
-
-        def fail(a, b):
-            raise EvaluationError(message)
-
-        return fail
-    return fn
+        return None, _raiser("unknown comparison %r" % op), None
+    return fn, left, right

@@ -50,15 +50,6 @@ on one generated trial at a time:
     object *equal* to the inline result — proof trees, witnesses and
     elapsed floats included — and the content key must be stable across
     re-encodings of the same task.
-``parallel-vs-sequential``
-    The intra-task partitioned scan (:mod:`repro.checker.parallel`,
-    ``CheckerEngine(parallel=P)``) vs the serial engine: verdict,
-    witness *and* ``checked_sets`` must be byte-identical — including
-    *which* counterexample is reported, since the canonical-witness
-    merge promises the lowest-index refutation across blocks is exactly
-    the serial scan's first one.  Ineligible scans (the parallel engine
-    silently running the serial path) agree trivially and still guard
-    the fallback routing.
 ``incremental-vs-cold``
     The incremental path (:meth:`~repro.api.session.Session.reverify`
     over the fingerprint ledger and dependency-cone invalidation of
@@ -83,7 +74,6 @@ from typing import Tuple
 from ..api.session import Session
 from ..assertions.syntax import SynAssertion
 from ..codec.mixin import WireCodec
-from ..checker.engine import CheckerEngine
 from ..checker.validity import (
     naive_check_terminating_triple,
     naive_check_triple,
@@ -114,7 +104,6 @@ CHECK_KINDS = (
     "il-embedding",
     "store-vs-inline",
     "incremental-vs-cold",
-    "parallel-vs-sequential",
 )
 
 
@@ -230,10 +219,6 @@ class DifferentialChecker:
         # across trials, which is exactly the long-lived-session regime
         # the check is meant to exercise
         self._warm = None
-        # the parallel-vs-sequential check's partitioned engine, built on
-        # first use (it owns a worker pool): shares the session's caches,
-        # so the only delta under test is the partitioned scan + merge
-        self._parallel = None
 
     def check_enabled(self, kind):
         """Whether the ``checks`` filter selects this check kind."""
@@ -504,67 +489,6 @@ class DifferentialChecker:
             )
         return None
 
-    def _parallel_engine(self):
-        if self._parallel is None:
-            self._parallel = CheckerEngine(
-                self.universe,
-                self.session.images,
-                compile_cache=self.session.compiles,
-                parallel=2,
-                parallel_min_candidates=0,
-            )
-        return self._parallel
-
-    def close(self):
-        """Shut down the parallel check's worker pool, if it ever started.
-
-        Idempotent, and the engine rebuilds the pool lazily on the next
-        parallel check.  Fuzz shard workers MUST call this before they
-        return a chunk: a pool left for interpreter-exit cleanup
-        deadlocks the shard executor's join.
-        """
-        if self._parallel is not None:
-            self._parallel.close()
-
-    def parallel_disagreement(self, triple, oracle=None):
-        """The partitioned mask-space scan vs the serial engine.
-
-        ``parallel_min_candidates=0`` forces the partitioned path onto
-        every eligible trial (fuzz universes are far below the
-        production cutoff); the merge must reproduce the serial scan's
-        verdict, witness and ``checked_sets`` byte-identically —
-        including which counterexample is canonical.
-        """
-        serial = self._oracle(triple, oracle)
-        parallel = self._parallel_engine().check(
-            triple.pre, triple.command, triple.post
-        )
-        if parallel.valid != serial.valid:
-            return "parallel scan says %s, serial scan says %s" % (
-                _verdict(parallel.valid),
-                _verdict(serial.valid),
-            )
-        if (
-            parallel.witness_pre != serial.witness_pre
-            or parallel.witness_post != serial.witness_post
-        ):
-            return (
-                "parallel and serial verdicts agree (%s) but witnesses "
-                "differ — the canonical-witness merge is broken: %r vs %r"
-                % (
-                    _verdict(parallel.valid),
-                    (parallel.witness_pre, parallel.witness_post),
-                    (serial.witness_pre, serial.witness_post),
-                )
-            )
-        if parallel.checked_sets != serial.checked_sets:
-            return (
-                "the partitioned enumeration drifted: parallel checked %d "
-                "sets, serial checked %d"
-                % (parallel.checked_sets, serial.checked_sets)
-            )
-        return None
-
     def _warm_session(self):
         if self._warm is None:
             self._warm = Session(
@@ -694,6 +618,5 @@ class DifferentialChecker:
             lambda t, _: self.incremental_disagreement(t, aux_seed),
             shrink_triple,
         )
-        run("parallel-vs-sequential", self.parallel_disagreement, shrink_triple)
 
         return TrialOutcome(trial, oracle.valid, tuple(ran), tuple(disagreements))

@@ -109,15 +109,9 @@ def _run_fuzz_chunk(seed, indices, straightline_bias, loop_bias):
     checker = _WORKER_CHECKER
     (config,) = _WORKER_PARAMS
     out = []
-    try:
-        for index in indices:
-            trial = regenerate(seed, index, config, straightline_bias, loop_bias)
-            out.append(checker.check_trial(trial))
-    finally:
-        # the parallel-vs-sequential check builds a nested worker pool;
-        # close it while this shard worker is alive — interpreter-exit
-        # teardown of a live nested pool deadlocks the shard join
-        checker.close()
+    for index in indices:
+        trial = regenerate(seed, index, config, straightline_bias, loop_bias)
+        out.append(checker.check_trial(trial))
     return out
 
 

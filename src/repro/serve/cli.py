@@ -91,14 +91,6 @@ def build_serve_parser():
         "included (default 4096); 0 disables the bound",
     )
     parser.add_argument(
-        "--intra-task-workers",
-        type=int,
-        help="worker processes for intra-task parallelism: partition each "
-        "eligible oracle scan's mask space across this many cores "
-        "(default: off; results are byte-identical either way, so this "
-        "does not participate in the store key)",
-    )
-    parser.add_argument(
         "-q", "--quiet", action="store_true", help="suppress the startup banner"
     )
     return parser
@@ -117,7 +109,6 @@ def config_from_args(args):
         entailment=args.entailment,
         max_set_size=args.max_set_size,
         max_image_entries=args.max_image_entries or None,
-        intra_task_workers=args.intra_task_workers,
         store_ttl=args.store_ttl,
         max_store_entries=args.max_store_entries,
         quiet=args.quiet,

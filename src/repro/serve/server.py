@@ -108,14 +108,6 @@ class ServeConfig:
     image+mask cache, while ``store_ttl`` / ``max_store_entries``
     govern the on-disk result tier (defaults: keep results forever,
     unbounded); ``store_ttl`` also expires the in-memory result tier.
-
-    ``intra_task_workers`` turns on the partitioned mask-space scan
-    (:mod:`repro.checker.parallel`) inside each worker session, so one
-    store-missing request with a huge enumeration no longer pins the
-    wall clock to a single core.  It composes with ``workers`` (the
-    cross-request pool) and deliberately does *not* participate in the
-    store key: parallel and serial scans produce byte-identical
-    results.
     """
 
     host: str = "127.0.0.1"
@@ -129,7 +121,6 @@ class ServeConfig:
     entailment: str = "sat"
     max_set_size: Optional[int] = None
     max_image_entries: Optional[int] = 4096
-    intra_task_workers: Optional[int] = None
     store_ttl: Optional[float] = None
     max_store_entries: Optional[int] = None
     quiet: bool = field(default=False)
@@ -189,7 +180,6 @@ class VerificationServer:
             "entailment": config.entailment,
             "max_set_size": config.max_set_size,
             "max_image_entries": config.max_image_entries,
-            "intra_task_workers": config.intra_task_workers,
         }
         pool = ThreadWorkers if config.executor == "thread" else ProcessWorkers
         return pool(workers, settings)

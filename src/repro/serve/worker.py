@@ -67,7 +67,7 @@ _SESSIONS_LOCK = threading.Lock()
 
 
 def spec_for_task(task, lo=0, hi=1, entailment="sat", max_set_size=None,
-                  max_image_entries=None, intra_task_workers=None):
+                  max_image_entries=None):
     """The :class:`SessionSpec` a task document runs under.
 
     The universe's variables are inferred from the triple exactly like
@@ -87,7 +87,6 @@ def spec_for_task(task, lo=0, hi=1, entailment="sat", max_set_size=None,
         entailment=entailment,
         max_set_size=max_set_size,
         max_image_entries=max_image_entries,
-        intra_task_workers=intra_task_workers,
     )
 
 
@@ -99,17 +98,13 @@ def session_for(spec):
             _SESSIONS.move_to_end(spec)
             return session
     built = spec.build()
-    evicted = []
     with _SESSIONS_LOCK:
         session = _SESSIONS.get(spec)
         if session is None:
             session = built
             _SESSIONS[spec] = session
             while len(_SESSIONS) > MAX_SESSIONS:
-                evicted.append(_SESSIONS.popitem(last=False)[1])
-    # an evicted session's intra-task pool would otherwise outlive it
-    for old in evicted:
-        old.close()
+                _SESSIONS.popitem(last=False)
     return session
 
 
@@ -120,10 +115,7 @@ def session_registry_size():
 
 def clear_sessions():
     with _SESSIONS_LOCK:
-        sessions = list(_SESSIONS.values())
         _SESSIONS.clear()
-    for session in sessions:
-        session.close()
 
 
 def serve_document(settings, document, budgets):

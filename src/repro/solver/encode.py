@@ -183,9 +183,9 @@ class _Grounder:
             reads[leaf.state, slot] = None
             return _reader(leaf.state, leaf.var, slot)
 
-        op = compile_cmp(node.op)
-        left = compile_hexpr(node.left, read)
-        right = compile_hexpr(node.right, read)
+        op, left, right = compile_cmp(
+            node.op, compile_hexpr(node.left, read), compile_hexpr(node.right, read)
+        )
 
         def run(sigma, delta):
             return _TRUE if op(left(sigma, delta), right(sigma, delta)) else _FALSE

@@ -30,7 +30,7 @@ root pure-literal assignments; since fixing a pure literal preserves
 satisfiability, verdicts are unaffected.  The solver is cross-validated
 against brute-force truth-table enumeration in
 ``tests/solver/test_sat.py``, and against a backtracking reference plus
-assumption-incremental correctness in ``tests/checker/test_parallel.py``.
+assumption-incremental correctness in ``tests/solver/test_sat_search.py``.
 """
 
 import heapq

@@ -1,7 +1,8 @@
 """Symbolic (SAT-based) Def. 5 validity: one solver call instead of 2**n.
 
-- :mod:`repro.symbolic.fragment` — which assertions the encoding covers,
-  with recorded reasons for everything it does not;
+- :mod:`repro.symbolic.fragment` — which assertions the encoding covers
+  (every Def. 9 syntactic assertion), with recorded reasons for
+  everything it does not;
 - :mod:`repro.symbolic.encode` — the selector/post-atom validity query
   built from the engine's precomputed image table;
 - :mod:`repro.symbolic.backend` — the :class:`SymbolicBackend` chain

@@ -7,12 +7,14 @@ with ``n`` instead of ``2**n`` — the first to decide triples over
 universes whose powerset is out of reach (see
 ``benchmarks/bench_symbolic_backend.py``).
 
-Out-of-fragment tasks — alternating quantifier blocks like GNI, opaque
-semantic predicates, set combinators — return
+Every Def. 9 syntactic triple is in its fragment, ``∀∃`` posts such as
+GNI included.  Tasks it cannot ground — opaque semantic predicates,
+``TRUE_H``/``FALSE_H``, set combinators — return
 :class:`~repro.api.outcome.Undecided` carrying every recorded fragment
-reason (the PR 5 fallback-taxonomy vocabulary), never a silent
-fallthrough; the chain then falls through to the enumerating oracle,
-which decides the full assertion language.
+reason, never a silent fallthrough; the chain then falls through to the
+enumerating oracle, which decides the full assertion language.  A
+refutation carries the SAT model's witness: a valid refuting set, not
+necessarily the enumeration's size-ordered first one.
 """
 
 from ..errors import ReproError, SolverError
@@ -50,12 +52,8 @@ class SymbolicBackend:
         # import cycle before either package finishes initializing
         from ..api.outcome import Proved, Refuted, Undecided
 
-        domain = session.universe.domain
         reasons = tuple(
-            dict.fromkeys(
-                fragment_reasons(task.pre, domain, session.compiles)
-                + fragment_reasons(task.post, domain, session.compiles)
-            )
+            dict.fromkeys(fragment_reasons(task.pre) + fragment_reasons(task.post))
         )
         if reasons:
             return Undecided(
@@ -89,8 +87,8 @@ class SymbolicBackend:
         except SolverError as err:
             return Undecided(self.name, self.method, reason=str(err))
         except Unsupported as err:
-            # classification said groundable but grounding disagreed —
-            # still a recorded reason, never a raw exception
+            # the grounder is the final word on what grounds — still a
+            # recorded reason, never a raw exception
             return Undecided(
                 self.name,
                 self.method,

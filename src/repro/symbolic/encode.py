@@ -34,8 +34,9 @@ first-class :class:`~repro.checker.counterexample.Witness` — the same
 payload every enumerating backend attaches to ``Refuted``.  UNSAT means
 no subset of the universe refutes the triple: ``Proved``.
 
-The encoding is exact on the groundable fragment (see
-:mod:`repro.symbolic.fragment`), so the verdict matches the enumerating
+The encoding is exact for every groundable assertion — every Def. 9
+syntactic assertion, alternating quantifier blocks included (see
+:mod:`repro.symbolic.fragment`) — so the verdict matches the enumerating
 engine's on every universe small enough to check both ways — which the
 ``symbolic-vs-engine`` differential check and
 ``benchmarks/bench_symbolic_backend.py`` assert.  Cost: ``n`` big-step
@@ -104,7 +105,7 @@ def encode_validity(pre, post, universe_states, image_table, domain):
     ``image_table`` maps each of them to its precomputed
     ``image(φ) = sem(C, {φ})``.  Raises
     :class:`repro.solver.encode.Unsupported` when either assertion falls
-    outside the groundable fragment (callers classify first via
+    cannot be grounded (callers classify first via
     :func:`repro.symbolic.fragment.fragment_reasons` to report *why*).
     """
     universe_states = tuple(universe_states)

@@ -2,22 +2,15 @@
 
 The one-SAT-call validity query grounds both sides of the triple
 propositionally: the precondition over selector atoms, the postcondition
-over post-membership atoms.  The fragment that grounds *and* stays exact
-under that encoding is exactly the compile layer's incremental fragment
-(see :mod:`repro.compile.assertion`): closed Def. 9 syntactic assertions
-whose state quantifiers form one same-polarity block, plus semantic
-``And``/``Or``/``Not`` wrappers around such parts.  Everything else —
-alternating quantifier blocks (GNI's ``∀∀∃``), opaque semantic lambdas,
-set combinators — yields a recorded reason, never a silent fallthrough:
-the :class:`~repro.symbolic.backend.SymbolicBackend` turns the reasons
-into one loud :class:`~repro.api.outcome.Undecided`.
-
-The reasons reuse the PR 5 fallback-taxonomy vocabulary verbatim where
-the compile layer already names the obstruction
-(:attr:`CompiledAssertion.fallback_reasons`); forms the compile layer
-handles with bespoke incremental kernels but the grounding cannot reach
-(semantic predicates, set comparisons, indexed families) get their own
-entries in the same style.
+over post-membership atoms (:func:`repro.solver.encode.ground_assertion`).
+Over a finite universe that grounding is exact for every Def. 9
+syntactic assertion — any nesting of state and value quantifiers,
+alternating blocks (GNI's ``∀∀∃``) included — and for semantic
+``And``/``Or``/``Not`` wrappers around such parts.  What it cannot
+ground — opaque semantic lambdas, the constant predicates ``TRUE_H`` /
+``FALSE_H``, set combinators — yields a recorded reason, never a silent
+fallthrough: the :class:`~repro.symbolic.backend.SymbolicBackend` turns
+the reasons into one loud :class:`~repro.api.outcome.Undecided`.
 """
 
 from ..assertions.semantic import (
@@ -29,50 +22,40 @@ from ..assertions.semantic import (
     SemAssertion,
 )
 from ..assertions.syntax import SynAssertion
-from ..compile import compile_assertion
 
 __all__ = ["fragment_reasons", "in_fragment"]
 
 
-def fragment_reasons(assertion, domain, compile_cache=None):
-    """Why ``assertion`` is outside the symbolic fragment.
+def fragment_reasons(assertion):
+    """Why ``assertion`` cannot be grounded.
 
     Returns a tuple of human-readable reasons, ``()`` when the assertion
-    is fully groundable.  Reasons are deduplicated in first-occurrence
-    order, matching how the compile cache aggregates fallbacks.
+    is fully groundable, deduplicated in first-occurrence order.
     """
     reasons = []
-    _classify(assertion, domain, compile_cache, reasons)
+    _classify(assertion, reasons)
     return tuple(dict.fromkeys(reasons))
 
 
-def in_fragment(assertion, domain, compile_cache=None):
+def in_fragment(assertion):
     """Whether the symbolic encoder can ground ``assertion`` exactly."""
-    return not fragment_reasons(assertion, domain, compile_cache)
+    return not fragment_reasons(assertion)
 
 
-def _classify(node, domain, cache, reasons):
+def _classify(node, reasons):
     if isinstance(node, (AndAssertion, OrAssertion)):
         for part in node.parts:
-            _classify(part, domain, cache, reasons)
-        return
-    if isinstance(node, NotAssertion):
-        _classify(node.operand, domain, cache, reasons)
-        return
-    if isinstance(node, SynAssertion):
-        # The compile layer already classifies Def. 9 syntax: its
-        # incremental (monotone, same-polarity) fragment is exactly what
-        # the selector/post-atom grounding encodes without loss, and its
-        # fallback reasons are the established vocabulary for the rest.
-        reasons.extend(compile_assertion(node, domain, cache).fallback_reasons)
-        return
-    if node is TRUE_H or node is FALSE_H:
+            _classify(part, reasons)
+    elif isinstance(node, NotAssertion):
+        _classify(node.operand, reasons)
+    elif isinstance(node, SynAssertion):
+        pass
+    elif node is TRUE_H or node is FALSE_H:
         reasons.append(
             "constant semantic predicate %r has no syntactic grounding"
             % node.label
         )
-        return
-    if isinstance(node, SemAssertion):
+    elif isinstance(node, SemAssertion):
         reasons.append("opaque semantic predicate %r" % node.label)
-        return
-    reasons.append("non-groundable combinator %s" % type(node).__name__)
+    else:
+        reasons.append("non-groundable combinator %s" % type(node).__name__)

@@ -104,9 +104,9 @@ class TestDispatch:
         assert result.verified
         assert result.decided_by.backend == "symbolic"
 
-    def test_loop_task_with_alternating_post_falls_back_to_oracle(self):
-        # an alternating-quantifier post is outside the symbolic
-        # fragment, so the chain still closes with the exhaustive oracle
+    def test_loop_task_with_alternating_post_is_decided_symbolically(self):
+        # alternating quantifier blocks ground exactly, so the symbolic
+        # stage decides before the exhaustive oracle is reached
         s = Session(["x"], 0, 2)
         result = s.verify(
             "exists <a>. true",
@@ -114,9 +114,8 @@ class TestDispatch:
             "forall <a>, <b>. exists <c>. c(x) == a(x) && c(x) == b(x)",
         )
         assert result.verified
-        assert result.decided_by.backend == "exhaustive"
-        symbolic = [o for o in result.outcomes if o.backend == "symbolic"][0]
-        assert "outside symbolic fragment" in symbolic.reason
+        assert result.decided_by.backend == "symbolic"
+        assert "exhaustive" not in [o.backend for o in result.outcomes]
 
     def test_backend_must_return_an_outcome(self, security_session):
         class BareVerdictBackend:

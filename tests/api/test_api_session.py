@@ -237,7 +237,6 @@ class TestReportCounters:
             "0 brute",
             "  incremental: 0 fingerprint hits, 0 cone invalidations, 1 "
             "artifacts reused",
-            "  parallel: 0 blocks, 0 cancelled, 0 states scanned",
             "  task 0               verified  via syntactic-wp+sat       0.000s",
             "  task 1               refuted   via sat-validity           0.000s",
             "  task 2               verified  via syntactic-wp+sat       0.000s",
@@ -246,7 +245,7 @@ class TestReportCounters:
         old = session.parse_program("l := 0")
         edited = batch[:3] + [("true", "l := 1", "forall <a>. a(l) == 1")]
         report = _zero_elapsed(session.reverify(edited, changed=[old]))
-        assert report.summary().splitlines()[:4] == [
+        assert report.summary().splitlines()[:3] == [
             "report: 3 verified, 1 refuted, 0 undecided in 0.000s (entailment "
             "cache: 0 hits, 1 misses; image cache: 0 hits, 0 misses, 0 "
             "evictions; mask tier: 0 hits, 0 misses)",
@@ -254,7 +253,6 @@ class TestReportCounters:
             "0 brute",
             "  incremental: 3 fingerprint hits, 1 cone invalidations, 0 "
             "artifacts reused",
-            "  parallel: 0 blocks, 0 cancelled, 0 states scanned",
         ]
 
     def test_cache_info_is_counters_plus_size_gauges(self, session):

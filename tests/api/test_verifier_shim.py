@@ -7,6 +7,7 @@ capped-oracle and brute-fallback method strings, and
 """
 
 from repro import Session
+from repro.assertions.semantic import TRUE_H
 from repro.assertions.sugar import low
 
 
@@ -35,13 +36,12 @@ class TestShimCompatibility:
         assert "sem(C, S)" in result.counterexample
 
     def test_loop_falls_back_to_oracle_method(self):
-        # the alternating post keeps the symbolic stage out (it records
-        # a fragment reason), so the closing oracle's method surfaces
+        # the semantic constant TRUE_H keeps the symbolic stage out (it
+        # records a fragment reason), so the closing oracle's method
+        # surfaces
         v = Session(["x"], 0, 2)
         result = v.verify(
-            "exists <a>. true",
-            "while (x > 0) { x := x - 1 }",
-            "forall <a>, <b>. exists <c>. c(x) == a(x) && c(x) == b(x)",
+            TRUE_H, "while (x > 0) { x := x - 1 }", "forall <a>. a(x) == 0"
         )
         assert result.verified
         assert result.method.startswith("oracle")

@@ -21,6 +21,7 @@ from repro.codec import SCHEMA_VERSION, WireError, from_wire, to_wire
 from repro.conformance import Disagreement, TrialOutcome, run_fuzz
 from repro.gen import GenConfig, trials
 from repro.gen.triples import regenerate
+from repro.lang.expr import BINOPS, CMPS, FUNS, UNOPS
 
 #: The conformance harness's tiny universe: cheap exhaustive verdicts.
 CONFIG = GenConfig(lo=0, hi=1, max_command_depth=2, max_assertion_depth=2)
@@ -241,6 +242,37 @@ class TestWireContract:
                     "schema_version": SCHEMA_VERSION,
                 }
             )
+
+    @pytest.mark.parametrize(
+        "kind, tree",
+        [("assertion", ["cmp", op, 0, 1]) for op in sorted(CMPS)]
+        + [("assertion", ["cmp", "==", ["bin", op, 0, 1], 1]) for op in sorted(BINOPS)]
+        + [("assertion", ["cmp", "==", ["fun", name, [0]], 1]) for name in sorted(FUNS)]
+        + [("command", ["assume", ["cmp", op, "x", 0]]) for op in sorted(CMPS)]
+        + [("command", ["assign", "x", ["bin", op, "x", 1]]) for op in sorted(BINOPS)]
+        + [("command", ["assign", "x", ["un", op, "x"]]) for op in sorted(UNOPS)]
+        + [("command", ["assign", "x", ["fun", name, ["x"]]]) for name in sorted(FUNS)],
+    )
+    def test_every_known_operator_decodes_and_round_trips(self, kind, tree):
+        document = {"$kind": kind, "tree": tree, "schema_version": SCHEMA_VERSION}
+        decoded = from_wire(document)
+        assert to_wire(decoded) == document
+
+    @pytest.mark.parametrize(
+        "kind, tree, message",
+        [
+            ("assertion", ["cmp", "~~", 0, 1], "unknown comparison '~~'"),
+            ("assertion", ["cmp", "==", ["bin", "**", 0, 1], 1], "unknown binary operator"),
+            ("assertion", ["cmp", "==", ["fun", "sqrt", [0]], 1], "unknown function"),
+            ("command", ["assume", ["cmp", "=<", "x", 0]], "unknown comparison"),
+            ("command", ["assign", "x", ["bin", "^", "x", 1]], "unknown binary operator"),
+            ("command", ["assign", "x", ["un", "!", "x"]], "unknown unary operator"),
+            ("command", ["assign", "x", ["fun", "pow", ["x"]]], "unknown function"),
+        ],
+    )
+    def test_unknown_operator_names_are_refused(self, kind, tree, message):
+        with pytest.raises(WireError, match=message):
+            from_wire({"$kind": kind, "tree": tree, "schema_version": SCHEMA_VERSION})
 
     def test_leaves_are_bare_and_a_string_literal_is_not_a_variable(self):
         from repro.assertions.syntax import HBin, HLit, HProg, HVar, SCmp, SForallVal

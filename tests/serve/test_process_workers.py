@@ -69,7 +69,7 @@ STREAM = (
     {"task": task_document("exists <a>. a(x) == 0", "x := 1", "exists <a>. a(x) == 0")},
     {
         "task": task_document(GNI, "while (x == 0) { x := 1 }", GNI),
-        "budgets": {"exhaustive": 0.0},
+        "budgets": {"symbolic": 0.0, "exhaustive": 0.0},
     },
     {"task": {"$kind": "task", "command": {"$kind": "command", "tree": ["jump"]}}},
     {"task": task_document(PRE, "x := 0", POST)},

@@ -1,6 +1,8 @@
 """The worker-side execution path: spec inference, session reuse."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -93,17 +95,17 @@ class TestSessionRegistry:
         session_for(self.spec("one-more"))  # evicts v0, not keep
         assert session_for(self.spec("keep")) is keep
 
-    def test_eviction_and_clear_close_sessions(self, monkeypatch):
-        from repro.api.session import Session
-
-        closed = []
-        monkeypatch.setattr(Session, "close", lambda self: closed.append(self))
-        first = session_for(self.spec("v0"))
+    def test_eviction_and_clear_release_sessions(self):
+        first = weakref.ref(session_for(self.spec("v0")))
         for i in range(1, MAX_SESSIONS + 1):
             session_for(self.spec("v%d" % i))
-        assert closed == [first]  # the least recently used one
+        gc.collect()
+        assert first() is None  # the least recently used one
+        last = weakref.ref(session_for(self.spec("v%d" % MAX_SESSIONS)))
         clear_sessions()
-        assert len(closed) == 1 + MAX_SESSIONS
+        gc.collect()
+        assert last() is None
+        assert session_registry_size() == 0
 
 
 class TestRunTaskDocument:
@@ -134,3 +136,11 @@ class TestRunTaskDocument:
             with pytest.raises(ProtocolError) as info:
                 serve_document({}, document, {})
             assert info.value.code == "malformed-document"
+
+    def test_unknown_comparison_is_a_malformed_document(self):
+        task = make_task("forall <a>. a(x) == 0", "skip", "forall <a>. a(x) == 0")
+        document = to_wire(task)
+        document["post"]["tree"][2][1] = "~~"  # forall <a>. a(x) ~~ 0
+        with pytest.raises(ProtocolError, match="unknown comparison '~~'") as info:
+            serve_document({}, document, {})
+        assert info.value.code == "malformed-document"

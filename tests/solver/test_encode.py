@@ -38,6 +38,7 @@ from repro.assertions.syntax import (
     SOr,
     pv,
 )
+from repro.compile import compile_assertion
 from repro.errors import EvaluationError
 from repro.gen import GenConfig
 from repro.gen.assertions import gen_assertion
@@ -427,9 +428,8 @@ def _raised(thunk):
 class TestErrorParity:
     """Grounding fails where evaluating the assertion fails, with the
     same exception type and message as the Def. 12 interpreter
-    (``reference_ground`` runs ``SCmp.eval``).  One order differs and is
-    pinned as is: the compiled comparison reads both operands before it
-    reports an unknown operator, the interpreter reports it first."""
+    (``reference_ground`` runs ``SCmp.eval``), in the same order: an
+    unknown comparison is reported before either operand is read."""
 
     @staticmethod
     def _at(body):
@@ -467,10 +467,13 @@ class TestErrorParity:
         assert _raised(lambda: reference_ground(assertion, states, D)) == expected
         assert _raised(lambda: ground_assertion(assertion, states, D)) == expected
 
-    def test_operands_are_read_before_an_unknown_comparison(self):
+    def test_an_unknown_comparison_is_reported_before_its_operands(self):
         assertion = self._at(SCmp("~~", pv("a", "nope"), pv("b", "x")))
-        expected = (KeyError, "'nope'")
+        expected = (EvaluationError, "unknown comparison '~~'")
+        assert _raised(lambda: reference_ground(assertion, STATES, D)) == expected
         assert _raised(lambda: ground_assertion(assertion, STATES, D)) == expected
+        compiled = compile_assertion(assertion, D)
+        assert _raised(lambda: compiled.holds(frozenset(STATES))) == expected
 
     @pytest.mark.parametrize("assertion, kind, message", CASES)
     def test_incremental_oracle_raises_it_and_recovers(self, assertion, kind, message):

@@ -64,11 +64,10 @@ class TestConformance:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 7))
     @settings(max_examples=30, deadline=None)
     def test_groundable_trials_are_decided(self, seed, index):
-        """On the classified fragment the backend never punts: every
+        """On the fragment the backend never punts: every
         groundable generated trial gets a Proved or Refuted."""
         triple = regenerate(seed, index, FUZZ_CONFIG).triple
-        domain = SESSION.universe.domain
-        if not (in_fragment(triple.pre, domain) and in_fragment(triple.post, domain)):
+        if not (in_fragment(triple.pre) and in_fragment(triple.post)):
             return
         outcome = assert_conforms(triple)
         assert outcome.verdict is not None, (
@@ -102,31 +101,32 @@ class TestHandPickedTriples:
 
 
 class TestFragmentReasons:
-    def test_gni_is_out_of_fragment_with_alternation_reason(self):
-        reasons = fragment_reasons(gni("x", "y"), SESSION.universe.domain)
-        assert reasons
-        assert any("alternating" in reason for reason in reasons)
+    def test_gni_is_in_fragment(self):
+        """Alternating blocks ground exactly: GNI's ``∀∀∃`` has no reason."""
+        assert fragment_reasons(gni("x", "y")) == ()
 
     def test_semantic_predicate_reason(self):
         opaque = SemAssertion(lambda s, d: True, label="opaque-test")
-        reasons = fragment_reasons(opaque, SESSION.universe.domain)
+        reasons = fragment_reasons(opaque)
         assert any("opaque semantic predicate" in r for r in reasons)
 
     def test_true_h_is_out_of_fragment(self):
-        reasons = fragment_reasons(TRUE_H, SESSION.universe.domain)
+        reasons = fragment_reasons(TRUE_H)
         assert any("constant semantic predicate" in r for r in reasons)
 
     def test_groundable_assertions_have_no_reasons(self):
-        domain = SESSION.universe.domain
-        assert in_fragment(low("x"), domain)
-        assert in_fragment(low("x") & box(V("y").eq(0)), domain)
+        assert in_fragment(low("x"))
+        assert in_fragment(low("x") & box(V("y").eq(0)))
 
-    def test_gni_task_is_undecided_with_recorded_reason(self):
-        task = SESSION.task(low("x"), "y := nonDet()", gni("y", "x"))
-        outcome = BACKEND.attempt(task, SESSION)
-        assert outcome.verdict is None
-        assert "outside symbolic fragment" in outcome.reason
-        assert "alternating" in outcome.reason
+    def test_gni_task_is_decided(self):
+        """``y := nonDet()`` over a low ``x`` satisfies GNI(y, x) — the
+        havoc gives every ``y`` for every ``x``."""
+        triple = (low("x"), "y := nonDet()", gni("y", "x"))
+        outcome = BACKEND.attempt(SESSION.task(*triple), SESSION)
+        assert outcome.verdict is SESSION.engine.check(
+            triple[0], SESSION.parse_program(triple[1]), triple[2]
+        ).valid
+        assert outcome.method == "sat-validity"
 
 
 class TestChainIntegration:
@@ -141,17 +141,41 @@ class TestChainIntegration:
         assert "symbolic" not in names
 
     def test_out_of_fragment_falls_through_to_oracle(self):
-        """A loop (no invariant) with a GNI post reaches the symbolic
-        stage — which must punt with a reason — and still gets decided
-        by the closing exhaustive oracle."""
+        """A loop (no invariant) under an opaque precondition reaches the
+        symbolic stage — which must punt with a reason — and still gets
+        decided by the closing exhaustive oracle."""
         session = Session(["x", "y"], lo=0, hi=1)
-        result = session.verify(
-            low("x"), "while (y > 0) { y := y - 1 }", gni("y", "x")
-        )
-        assert result.verdict is not None
+        opaque = SemAssertion(lambda s: len(s) <= 2, label="small")
+        result = session.verify(opaque, "while (y > 0) { y := y - 1 }", low("x"))
+        assert result.verdict is False
         assert result.outcome.backend == "exhaustive"
         symbolic = [o for o in result.outcomes if o.backend == "symbolic"]
-        assert symbolic and symbolic[0].reason
+        assert symbolic and "opaque semantic predicate 'small'" in symbolic[0].reason
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 7))
+    @settings(max_examples=30, deadline=None)
+    def test_generated_trials_never_reach_the_exhaustive_backend(self, seed, index):
+        """Generated trials are syntactic, so the symbolic stage decides
+        whatever wp and the loop rules leave, alternating posts included."""
+        triple = regenerate(seed, index, FUZZ_CONFIG).triple
+        result = SESSION.verify(
+            triple.pre, triple.command, triple.post, invariant=triple.invariant
+        )
+        assert result.verdict is not None
+        assert result.outcome.backend != "exhaustive", triple.describe()
+
+    def test_valid_gni_loop_on_sixteen_states_is_decided_by_sat(self):
+        """A GNI-class loop over 16 states: one SAT query decides what
+        the Def. 5 scan would need 2**16 candidate sets for."""
+        gni_text = (
+            "forall <a>. forall <b>. exists <c>. c(h) == a(h) && c(l) == b(l)"
+        )
+        session = Session(["h", "l", "x", "y"], lo=0, hi=1)
+        assert len(session.universe.ext_states()) == 16
+        result = session.verify(gni_text, "while (x == 0) { x := 1 }", gni_text)
+        assert result.verdict is True
+        assert result.outcome.backend == "symbolic"
+        assert result.method == "sat-validity"
 
 
 class TestCodecRoundTrip:

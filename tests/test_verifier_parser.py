@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from repro import Session
 from repro.assertions import (
+    TRUE_H,
     format_assertion,
     low,
     parse_assertion,
@@ -135,13 +136,11 @@ class TestVerifier:
         assert result.method == "sat-validity"
 
     def test_loop_falls_back_to_oracle(self):
-        # an alternating-quantifier post is outside the symbolic
-        # fragment, so this one still reaches the enumerating oracle
+        # a semantic precondition is outside the symbolic fragment, so
+        # this one still reaches the enumerating oracle
         v = Session(["x"], 0, 2)
         result = v.verify(
-            "exists <a>. true",
-            "while (x > 0) { x := x - 1 }",
-            "forall <a>, <b>. exists <c>. c(x) == a(x) && c(x) == b(x)",
+            TRUE_H, "while (x > 0) { x := x - 1 }", "forall <a>. a(x) == 0"
         )
         assert result.verified
         assert result.method.startswith("oracle")

@@ -37,7 +37,7 @@ sys.path.insert(
 )
 
 from repro.api import Session  # noqa: E402
-from repro.deps import fingerprint, task_dependencies  # noqa: E402
+from repro.deps import cone_test  # noqa: E402
 from repro.gen import GenConfig, trials  # noqa: E402
 from repro.gen.programs import gen_command  # noqa: E402
 
@@ -80,9 +80,8 @@ def bench(count, min_speedup):
     config = GenConfig(pvars=PVARS, lo=0, hi=1, max_command_depth=3)
     victim = next(
         i for i, t in enumerate(suite)
-        if not any(
-            fingerprint(t.command) in task_dependencies(other)
-            for j, other in enumerate(suite) if j != i
+        if not cone_test([t.command])(
+            [other for j, other in enumerate(suite) if j != i]
         )
     )
     old = suite[victim]

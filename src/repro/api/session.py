@@ -36,14 +36,12 @@ from ..checker.universe import Universe
 from ..compile import CompileCache
 from ..codec.mixin import WireCodec
 from ..deps.fingerprint import (
-    Fingerprint,
     FingerprintError,
+    combine,
+    cone_test,
+    context_fingerprint,
     fingerprint,
-    subtree_fingerprints,
-    task_dependencies,
-    task_fingerprint,
 )
-from ..deps.graph import DependencyGraph
 from ..lang.ast import Command
 from ..lang.parser import parse_command
 from ..values import IntRange
@@ -59,6 +57,10 @@ from .task import Budget, VerificationTask, as_outcome
 
 _MISS = object()
 
+#: Bound on the per-session memo of ledger context fingerprints (one
+#: entry per distinct backend chain and budgets a caller passes).
+_CONTEXT_FPS_MAX = 64
+
 
 class CachingOracle(EntailmentOracle):
     """An entailment oracle that memoizes verdicts across queries.
@@ -67,36 +69,34 @@ class CachingOracle(EntailmentOracle):
     (:func:`~repro.deps.fingerprint.fingerprint`), so equal queries
     share a verdict no matter how their trees were built; semantic
     assertions fall back to the objects themselves (identity hashing),
-    and unhashable operands bypass the cache.  With a ``deps``
-    :class:`~repro.deps.graph.DependencyGraph`, every memoized verdict
-    records the assertion-subtree fingerprints it depends on (an
-    ``("entail", key)`` artifact), so editing a subtree invalidates
-    exactly the verdicts that mention it.  The cached entry keeps the
-    method that decided the query so repeat queries still report it
-    faithfully.  Safe under concurrent use (one lock around the table;
-    verdict computation happens outside it, so a race costs at most a
-    duplicated computation).
+    and unhashable operands bypass the cache.  A fingerprinted entry
+    keeps its ``(pre, post)`` pair, so :meth:`invalidate` drops exactly
+    the verdicts whose assertions contain an edited subtree.  The cached
+    entry keeps the method that decided the query so repeat queries
+    still report it faithfully.  Safe under concurrent use (one lock
+    around the table; verdict computation happens outside it, so a race
+    costs at most a duplicated computation).
     """
 
     def __init__(self, universe, domain, method="brute", max_size=None,
-                 compile_cache=None, deps=None):
+                 compile_cache=None):
         super().__init__(
             universe, domain, method=method, max_size=max_size,
             compile_cache=compile_cache,
         )
+        # key -> (verdict, method, sources)
         self._cache = {}
         self._cache_lock = threading.Lock()
-        self._deps = deps
         self.hits = 0
         self.misses = 0
 
     def entails(self, pre, post):
         try:
             key = (fingerprint(pre), fingerprint(post))
-            dep_fps = subtree_fingerprints(pre) | subtree_fingerprints(post)
+            sources = (pre, post)
         except FingerprintError:
             key = (pre, post)
-            dep_fps = None
+            sources = ()
         try:
             hash(key)
         except TypeError:
@@ -106,22 +106,24 @@ class CachingOracle(EntailmentOracle):
             if cached is not _MISS:
                 self.hits += 1
         if cached is not _MISS:
-            verdict, method = cached
+            verdict, method, _ = cached
             self._record(method)
             return verdict
         verdict = super().entails(pre, post)
         with self._cache_lock:
-            self._cache[key] = (verdict, self.last_method)
+            self._cache[key] = (verdict, self.last_method, sources)
             self.misses += 1
-        if self._deps is not None and dep_fps is not None:
-            self._deps.record(("entail", key), dep_fps)
         return verdict
 
-    def drop(self, key):
-        """Remove one memoized verdict by its cache key — the form
-        ``("entail", key)`` dependency artifacts carry."""
+    def invalidate(self, in_cone):
+        """Drop every verdict whose ``(pre, post)`` pair is ``in_cone``
+        (a :func:`~repro.deps.fingerprint.cone_test` predicate) → the
+        number dropped."""
         with self._cache_lock:
-            self._cache.pop(key, None)
+            entries = list(self._cache.items())
+        doomed = [key for key, entry in entries if in_cone(entry[2])]
+        with self._cache_lock:
+            return sum(self._cache.pop(key, None) is not None for key in doomed)
 
     def cache_info(self):
         """``{"hits": ..., "misses": ..., "size": ...}``."""
@@ -133,9 +135,6 @@ class CachingOracle(EntailmentOracle):
             self._cache.clear()
             self.hits = 0
             self.misses = 0
-        if self._deps is not None:
-            # a cleared memo must leave no stale dependency edges behind
-            self._deps.forget_kind("entail")
 
 
 @dataclass(frozen=True)
@@ -413,24 +412,19 @@ class Session:
         # constructor arguments; a custom backend chain has no picklable
         # recipe, so sharded batches refuse it (see api/sharding.py).
         self.has_custom_backends = backends is not None
-        # One dependency graph for the whole session: every cache below
-        # records which subtree fingerprints its artifacts derive from,
-        # so reverify can invalidate exactly the cone above an edit.
-        self.deps = DependencyGraph()
         # One compile cache for the whole session: commands, assertions
         # and prefilter predicates compile once and are reused by the
         # engine, the backends and the entailment oracle.
-        self.compiles = CompileCache(deps=self.deps)
+        self.compiles = CompileCache()
         self.oracle = CachingOracle(
             self.universe.ext_states(),
             self.universe.domain,
             method=entailment,
             compile_cache=self.compiles,
-            deps=self.deps,
         )
         # One image cache for the whole session: per-state executions
         # persist across tasks in a batch and across verify_many threads.
-        self.images = ImageCache(max_entries=max_image_entries, deps=self.deps)
+        self.images = ImageCache(max_entries=max_image_entries)
         self.engine = CheckerEngine(self.universe, self.images, compile_cache=self.compiles)
         self.max_set_size = max_set_size
         self.backends = (
@@ -444,6 +438,9 @@ class Session:
         # benign-race semantics (equal fingerprints imply equal content,
         # so a race stores an equivalent result).
         self._ledger = {}
+        # (backend names, budgets) -> the context fingerprint folded
+        # into ledger keys, computed once per configuration
+        self._context_fps = {}
         self._fingerprint_hits = 0
         self._cone_invalidations = 0
 
@@ -620,25 +617,38 @@ class Session:
             "budgets": {str(k): float(v) for k, v in allowances.items()},
         }
 
+    def _context_fingerprint(self, backends, budgets):
+        """The fingerprint of :meth:`_dependency_context` for one
+        effective configuration (memoized per backend chain and budgets)."""
+        chain = self.backends if backends is None else tuple(backends)
+        allowances = self.budgets if budgets is None else dict(budgets)
+        key = (
+            tuple(backend.name for backend in chain),
+            tuple(sorted((str(k), float(v)) for k, v in allowances.items())),
+        )
+        fp = self._context_fps.get(key)
+        if fp is None:
+            if len(self._context_fps) >= _CONTEXT_FPS_MAX:
+                self._context_fps.clear()
+            fp = context_fingerprint(self._dependency_context(chain, allowances))
+            self._context_fps[key] = fp
+        return fp
+
     def _ledger_fingerprint(self, task, backends, budgets):
         """The content address of one task under the effective config,
         or ``None`` when the task has no stable encoding (semantic
         assertions) and must always re-run."""
-        chain = self.backends if backends is None else tuple(backends)
-        allowances = self.budgets if budgets is None else dict(budgets)
         try:
-            return task_fingerprint(task, self._dependency_context(chain, allowances))
+            return combine(fingerprint(task), self._context_fingerprint(backends, budgets))
         except FingerprintError:
             return None
 
     def _remember(self, task, result, backends, budgets):
-        """Ledger a finished task outcome under its fingerprint and
-        record its dependency cone (no-op for semantic tasks)."""
+        """Ledger a finished task outcome under its fingerprint (no-op
+        for semantic tasks)."""
         fp = self._ledger_fingerprint(task, backends, budgets)
-        if fp is None:
-            return
-        self._ledger[fp] = result
-        self.deps.record(("result", fp), task_dependencies(task))
+        if fp is not None:
+            self._ledger[fp] = result
 
     def invalidate(self, changed):
         """Drop every cached artifact in the dependency cone of
@@ -648,40 +658,30 @@ class Session:
         nodes, assertions, whole tasks) and/or raw
         :class:`~repro.deps.fingerprint.Fingerprint` values.  Each item
         names the *smallest replaced subtree*: only its own fingerprint
-        is invalidated, and the cone is every artifact whose tree
-        contains that exact subtree (dependency sets list all composite
-        subtrees, so containment is one reverse-index lookup).  Inner
-        nodes of the replaced subtree are deliberately left alone —
-        shared leaves like a variable reference live on in *other*
-        trees, and invalidating them would wrongly drop the whole
-        suite.  Dropped artifacts are dispatched back to their owning
-        caches — ledger'd results, entailment verdicts, image rows,
-        compiled closures — so the session behaves as if that cone had
-        never been computed.
+        is invalidated, and the cone is every artifact whose source
+        trees contain that exact subtree.  Inner nodes of the replaced
+        subtree are deliberately left alone — shared leaves like a
+        variable reference live on in *other* trees, and invalidating
+        them would wrongly drop the whole suite.  Each cache — the
+        ledger (keyed from ``result.task``), entailment verdicts, image
+        rows (with their mask-tier entries), compiled closures — drops
+        its own part of the cone, so the session behaves as if that
+        cone had never been computed.
         """
-        fps = set()
-        for item in changed:
-            if isinstance(item, str):
-                # raw fingerprints (Fingerprint is a str subclass)
-                fps.add(Fingerprint(item))
-                continue
-            try:
-                fps.add(fingerprint(item))
-            except FingerprintError:
-                continue  # semantic subtrees were never ledger'd
-        doomed = self.deps.invalidate(fps)
-        for artifact in doomed:
-            kind, key = artifact
-            if kind == "result":
-                self._ledger.pop(key, None)
-            elif kind == "entail":
-                self.oracle.drop(key)
-            elif kind == "image":
-                self.images.drop(key)
-            elif kind == "compile":
-                self.compiles.drop(key)
-        self._cone_invalidations += len(doomed)
-        return len(doomed)
+        in_cone = cone_test(changed)
+        # the caches first: their sources are the commands and
+        # assertions the ledger'd tasks are made of, so the task walks
+        # then skip every part already found outside the cone
+        dropped = self.images.invalidate(in_cone)
+        dropped += self.compiles.invalidate(in_cone)
+        dropped += self.oracle.invalidate(in_cone)
+        doomed = [
+            fp for fp, result in list(self._ledger.items())
+            if in_cone((result.task,))
+        ]
+        dropped += sum(self._ledger.pop(fp, None) is not None for fp in doomed)
+        self._cone_invalidations += dropped
+        return dropped
 
     def reverify(
         self,
@@ -728,16 +728,14 @@ class Session:
 
     def reset(self):
         """Forget everything cached: verdicts, images, compiled
-        closures, the result ledger and the dependency graph.  A reset
-        session verifies exactly like a cold one (and its dependency
-        graph holds no stale edges from before the reset)."""
+        closures and the result ledger.  A reset session verifies
+        exactly like a cold one."""
         self.oracle.cache_clear()
         self.images.clear()
         self.compiles.clear()
         self._program_cache.clear()
         self._assertion_cache.clear()
         self._ledger.clear()
-        self.deps.clear()
         self._fingerprint_hits = 0
         self._cone_invalidations = 0
 

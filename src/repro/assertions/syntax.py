@@ -102,6 +102,9 @@ class HLit(HExpr):
 
     value: object
 
+    __eq__ = _pe.literal_eq
+    __hash__ = _pe.literal_hash
+
 
     def eval(self, sigma_env, delta_env):
         return self.value

@@ -64,12 +64,7 @@ from ..compile import (
     compile_state_predicate,
 )
 from ..compile.assertion import mask_prefix_fn
-from ..deps.fingerprint import (
-    Fingerprint,
-    FingerprintError,
-    fingerprint as _fingerprint,
-    subtree_fingerprints as _subtree_fingerprints,
-)
+from ..deps.fingerprint import FingerprintError, fingerprint as _fingerprint
 from ..semantics.bigstep import post_states
 from ..semantics.state import ExtState
 from ..util import iter_subsets
@@ -123,11 +118,9 @@ class ImageCache:
     equal commands share entries no matter how they were built; values
     are the ``frozenset`` of final program states.  (A command outside
     the fingerprintable fragment stays in the key as the object itself —
-    behaviorally identical, just invisible to cone invalidation.)  With
-    a ``deps`` :class:`~repro.deps.graph.DependencyGraph`, every stored
-    entry records the command-subtree fingerprints it was derived from
-    as an ``("image", key)`` artifact, so editing any subtree of a
-    command invalidates exactly its image rows.  Computation happens
+    behaviorally identical, just invisible to cone invalidation.)  Each
+    row keeps its command, so :meth:`invalidate` drops exactly the rows
+    of commands containing an edited subtree.  Computation happens
     outside the lock, so a race costs at most one duplicated execution,
     never a wrong entry.
 
@@ -151,10 +144,11 @@ class ImageCache:
     rejected.
     """
 
-    def __init__(self, max_entries=None, deps=None):
+    def __init__(self, max_entries=None):
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1 or None, got %r"
                              % (max_entries,))
+        # base key -> (finals, max_states, command or None)
         self._table = OrderedDict()
         self._masks = {}
         # base key -> the mask-tier keys derived from it, so evicting a
@@ -163,7 +157,6 @@ class ImageCache:
         # its universe, command and state alive)
         self._mask_keys = {}
         self._lock = threading.Lock()
-        self._deps = deps
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
@@ -203,7 +196,10 @@ class ImageCache:
         with self._lock:
             entry = self._table.get(key)
             if entry is None or max_states < entry[1]:
-                self._table[key] = (finals, max_states)
+                # the row keeps its command only when the key holds the
+                # command's fingerprint: no other row can be in a cone
+                source = command if key[0] is not command else None
+                self._table[key] = (finals, max_states, source)
                 if (
                     self.max_entries is not None
                     and len(self._table) > self.max_entries
@@ -211,13 +207,7 @@ class ImageCache:
                     evicted_key, _ = self._table.popitem(last=False)
                     self.evictions += 1
                     self._evict_masks_of(evicted_key)
-                    if self._deps is not None:
-                        self._deps.discard(("image", evicted_key))
             self.misses += 1
-        if self._deps is not None and isinstance(key[0], Fingerprint):
-            self._deps.record(
-                ("image", key), _subtree_fingerprints(command)
-            )
         return finals
 
     def _evict_masks_of(self, base_key):
@@ -261,12 +251,23 @@ class ImageCache:
             self.mask_misses += 1
         return mask
 
-    def drop(self, key):
-        """Remove one base row (and its mask-tier entries) by its
-        canonical key — the form ``("image", key)`` artifacts carry."""
+    def invalidate(self, in_cone):
+        """Drop every base row whose command is ``in_cone`` (a
+        :func:`~repro.deps.fingerprint.cone_test` predicate), with its
+        mask-tier entries → the number of base rows dropped."""
         with self._lock:
-            self._table.pop(key, None)
-            self._evict_masks_of(key)
+            entries = list(self._table.items())
+        doomed = [
+            key for key, (_, _, command) in entries
+            if command is not None and in_cone((command,))
+        ]
+        dropped = 0
+        with self._lock:
+            for key in doomed:
+                if self._table.pop(key, None) is not None:
+                    dropped += 1
+                self._evict_masks_of(key)
+        return dropped
 
     def info(self):
         """``{"hits": ..., "misses": ..., "size": ...}``."""
@@ -299,9 +300,6 @@ class ImageCache:
             self.mask_hits = 0
             self.mask_misses = 0
             self.mask_evictions = 0
-        if self._deps is not None:
-            # no stale edges may outlive the entries they point at
-            self._deps.forget_kind("image")
 
     def __len__(self):
         with self._lock:

@@ -15,11 +15,10 @@ falls back to the module-wide :func:`default_cache`.
 Keys are ``(kind, node, ...)`` tuples.  Before lookup each key is
 *canonicalized*: AST/domain elements with a stable content encoding are
 replaced by their :class:`~repro.deps.fingerprint.Fingerprint`, so equal
-trees share one artifact no matter how they were built, and — when the
-cache is constructed with a :class:`~repro.deps.graph.DependencyGraph`
-— every stored artifact records the subtree fingerprints it was derived
-from, making it reachable by dependency-cone invalidation
-(``("compile", key)`` artifacts).  Semantic assertions have no stable
+trees share one artifact no matter how they were built.  Each entry
+keeps the elements that were fingerprinted — its *sources* — so that
+:meth:`CompileCache.invalidate` can find the artifacts derived from a
+tree containing an edited subtree.  Semantic assertions have no stable
 encoding and stay in the key as objects (hashing by identity), which
 still de-duplicates the repeated queries a session issues against the
 same assertion object.  Unhashable keys bypass the cache entirely (the
@@ -29,37 +28,41 @@ caller just compiles fresh).
 import threading
 from dataclasses import is_dataclass
 
-from ..deps.fingerprint import FingerprintError, fingerprint, subtree_fingerprints
+from ..deps.fingerprint import FingerprintError, fingerprint
 from ..values import Domain
 
 _MISS = object()
 
 
 def _canonical_key(key):
-    """``(canonical key, dependency fingerprints)`` for one cache key.
+    """The canonical form of one cache key.
 
     Composite elements (dataclass AST nodes, domains) become their
-    fingerprints and contribute their subtree fingerprints to the
-    dependency set; primitives pass through; anything unfingerprintable
-    (semantic assertions) stays as the object itself and contributes no
-    dependencies.
+    fingerprints; primitives pass through; anything unfingerprintable
+    (semantic assertions) stays as the object itself.
     """
     if not isinstance(key, tuple):
-        return key, frozenset()
+        return key
     out = []
-    deps = set()
     for element in key:
         if (is_dataclass(element) and not isinstance(element, type)) or isinstance(
             element, Domain
         ):
             try:
                 out.append(fingerprint(element))
-                deps |= subtree_fingerprints(element)
             except FingerprintError:
                 out.append(element)
         else:
             out.append(element)
-    return tuple(out), frozenset(deps)
+    return tuple(out)
+
+
+def _sources(key, canonical):
+    """The key elements that were fingerprinted — exactly those the
+    canonical key replaced."""
+    if canonical is key:
+        return ()
+    return tuple(e for e, c in zip(key, canonical) if c is not e)
 
 
 class CompileCache:
@@ -72,10 +75,10 @@ class CompileCache:
     :func:`~repro.compile.assertion.compile_assertion` fallbacks.
     """
 
-    def __init__(self, deps=None):
+    def __init__(self):
+        # canonical key -> (artifact, sources)
         self._table = {}
         self._lock = threading.Lock()
-        self._deps = deps
         self.hits = 0
         self.misses = 0
         self.fallbacks = {}
@@ -83,35 +86,37 @@ class CompileCache:
     def get_or_build(self, key, build):
         """The artifact for ``key``, compiling via ``build()`` at most once
         (modulo benign races).  Unhashable keys compile fresh every call."""
-        key, dep_fps = _canonical_key(key)
+        canonical = _canonical_key(key)
         try:
-            hash(key)
+            hash(canonical)
         except TypeError:
             return build()
         with self._lock:
-            artifact = self._table.get(key, _MISS)
-            if artifact is not _MISS:
+            entry = self._table.get(canonical, _MISS)
+            if entry is not _MISS:
                 self.hits += 1
-                return artifact
+                return entry[0]
         artifact = build()
         with self._lock:
-            existing = self._table.get(key, _MISS)
+            existing = self._table.get(canonical, _MISS)
             if existing is not _MISS:
                 # lost the race: keep the first artifact so callers that
                 # already hold it stay consistent with future lookups
                 self.hits += 1
-                return existing
-            self._table[key] = artifact
+                return existing[0]
+            self._table[canonical] = (artifact, _sources(key, canonical))
             self.misses += 1
-        if self._deps is not None and dep_fps:
-            self._deps.record(("compile", key), dep_fps)
         return artifact
 
-    def drop(self, key):
-        """Remove one artifact by its *canonical* key (the form
-        dependency-graph ``("compile", key)`` artifacts carry)."""
+    def invalidate(self, in_cone):
+        """Drop every artifact whose sources are ``in_cone`` (a
+        :func:`~repro.deps.fingerprint.cone_test` predicate) → the
+        number dropped."""
         with self._lock:
-            self._table.pop(key, None)
+            entries = list(self._table.items())
+        doomed = [key for key, (_, sources) in entries if in_cone(sources)]
+        with self._lock:
+            return sum(self._table.pop(key, None) is not None for key in doomed)
 
     def record_fallback(self, reasons):
         """Count each fallback reason (called once per compiled assertion)."""
@@ -137,11 +142,6 @@ class CompileCache:
             self.hits = 0
             self.misses = 0
             self.fallbacks = {}
-        if self._deps is not None:
-            # a cleared cache must leave no stale dependency edges: the
-            # graph would otherwise claim artifacts this cache no longer
-            # holds (the "stale fingerprint hits" failure mode)
-            self._deps.forget_kind("compile")
 
     def __len__(self):
         with self._lock:

@@ -215,7 +215,7 @@ class DifferentialChecker:
         self._store = None
         self._store_dir = None
         # the incremental-vs-cold check's long-lived warm session, built
-        # on first use: its ledger and dependency graph accumulate
+        # on first use: its ledger and caches accumulate
         # across trials, which is exactly the long-lived-session regime
         # the check is meant to exercise
         self._warm = None

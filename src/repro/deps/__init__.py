@@ -2,37 +2,34 @@
 
 The incremental re-verification subsystem (ROADMAP item 4): stable
 Merkle-style content hashes for every command/expression/assertion
-subtree (:mod:`~repro.deps.fingerprint`) and a per-artifact dependency
-index (:mod:`~repro.deps.graph`) that lets an edit invalidate exactly
-the cone above the changed subtree.  The session caches
+subtree (:mod:`~repro.deps.fingerprint`).  The session caches
 (:class:`~repro.compile.cache.CompileCache`,
 :class:`~repro.checker.engine.ImageCache`, the entailment memo, the
 result ledger behind :meth:`~repro.api.session.Session.reverify`) key
-their artifacts by these fingerprints.
+their artifacts by these fingerprints and keep, in each entry, the
+source trees its key was fingerprinted from; an edit invalidates
+exactly the entries whose sources contain the changed subtree
+(:func:`~repro.deps.fingerprint.cone_test`).
 """
 
 from .fingerprint import (
     Fingerprint,
     FingerprintError,
     combine,
+    cone_test,
     context_fingerprint,
     fingerprint,
     fingerprintable,
-    subtree_fingerprints,
-    task_dependencies,
     task_fingerprint,
 )
-from .graph import DependencyGraph
 
 __all__ = [
-    "DependencyGraph",
     "Fingerprint",
     "FingerprintError",
     "combine",
+    "cone_test",
     "context_fingerprint",
     "fingerprint",
     "fingerprintable",
-    "subtree_fingerprints",
-    "task_dependencies",
     "task_fingerprint",
 ]

@@ -26,19 +26,23 @@ elements, primitives by tagged bytes.  Semantic assertions wrapping
 Python callables have no stable content encoding and raise
 :class:`FingerprintError`; callers fall back to today's object keys.
 
-:func:`subtree_fingerprints` returns the fingerprint of every composite
-node in a tree — the *dependency set* a derived artifact records in the
-:class:`~repro.deps.graph.DependencyGraph` so that an edit invalidates
-exactly the artifacts whose cone contains the changed subtree.
+:func:`cone_test` turns the edited subtrees into a predicate over the
+source trees a cache entry was keyed from: each cache finds the *cone
+above an edit* — the entries whose sources contain a changed subtree —
+by asking it of its own entries, only when
+:meth:`~repro.api.session.Session.invalidate` runs.
 
-Both walks are memoized per node (structural keys, so equal subtrees
-share one entry) in module-level tables — like the compile layer's
+:func:`fingerprint` is memoized per node (structural keys, so equal
+subtrees share one entry) in one module-level table bounded by
+:data:`FP_MEMO_MAX` — like the compile layer's
 :func:`~repro.compile.cache.default_cache`, the memo is a process-wide
-amortizer, not a correctness mechanism.
+amortizer, not a correctness mechanism.  Nothing else is memoized across
+calls: what a :func:`cone_test` predicate learns dies with it.
 """
 
 import hashlib
 from dataclasses import fields, is_dataclass
+from operator import attrgetter
 
 from ..errors import ReproError
 from ..values import Domain
@@ -66,8 +70,13 @@ class Fingerprint(str):
 
 #: node -> Fingerprint (structural keys; unhashable nodes bypass).
 _FP_MEMO = {}
-#: node -> frozenset of composite-subtree fingerprints.
-_SUBTREE_MEMO = {}
+#: The memo is emptied when it reaches this many entries, so a
+#: long-lived process (a serve worker, a fuzz run) stays bounded.
+FP_MEMO_MAX = 1 << 14
+
+_CONTAINERS = (tuple, list, frozenset, set, dict)
+#: The primitives :func:`_primitive_digest` encodes (bool is an int).
+_LEAVES = (str, bytes, int, float, type(None))
 
 
 def _digest(tag, parts):
@@ -104,6 +113,66 @@ def _primitive_digest(obj):
     return None
 
 
+#: dataclass -> (digest tag, field getter returning the field values)
+_DATACLASS_SHAPES = {}
+
+
+def _field_getter(cls):
+    """``obj -> tuple of obj's field values`` for one dataclass."""
+    names = [f.name for f in fields(cls)]
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        name = names[0]
+        return lambda obj: (getattr(obj, name),)
+    return lambda obj: ()
+
+
+def _shape(obj):
+    """``(tag, kind, children)`` of one non-primitive ``obj``.
+
+    ``kind`` is ``"node"`` for the composite, edit-replaceable nodes
+    (dataclass instances, domains), else how the container combines its
+    children's digests: ``"seq"`` in order, ``"set"`` sorted, ``"map"``
+    as sorted ``key:value`` pairs of the flattened items.
+    """
+    cls = type(obj)
+    shape = _DATACLASS_SHAPES.get(cls)
+    if shape is None and is_dataclass(cls) and not isinstance(obj, type):
+        shape = (
+            "dc:%s.%s" % (cls.__module__, cls.__qualname__),
+            _field_getter(cls),
+        )
+        _DATACLASS_SHAPES[cls] = shape
+    if shape is not None:
+        return shape[0], "node", shape[1](obj)
+    if isinstance(obj, Domain):
+        # domains are plain classes with structural equality; their
+        # content is the name plus the ordered value tuple
+        return "domain:%s" % obj.name, "node", obj.values
+    if isinstance(obj, (tuple, list)):
+        return "seq", "seq", obj
+    if isinstance(obj, (frozenset, set)):
+        return "set", "set", obj
+    if isinstance(obj, dict):
+        return "map", "map", [v for item in obj.items() for v in item]
+    raise FingerprintError(
+        "cannot fingerprint %s objects (no stable content encoding): %r"
+        % (type(obj).__name__, obj)
+    )
+
+
+def _combine_shape(tag, kind, digests):
+    """The digest of a shape whose children have ``digests``."""
+    if kind == "set":
+        digests = sorted(digests)
+    elif kind == "map":
+        digests = sorted(
+            digests[i] + ":" + digests[i + 1] for i in range(0, len(digests), 2)
+        )
+    return _digest(tag, digests)
+
+
 def fingerprint(obj):
     """The stable content hash of one (sub)tree → :class:`Fingerprint`.
 
@@ -118,40 +187,21 @@ def fingerprint(obj):
     digest = _primitive_digest(obj)
     if digest is not None:
         return digest
-    try:
-        cached = _FP_MEMO.get(obj)
-    except TypeError:
-        cached = None
-        hashable = False
-    else:
-        hashable = True
-    if cached is not None:
-        return cached
-    if is_dataclass(obj) and not isinstance(obj, type):
-        cls = type(obj)
-        parts = [fingerprint(getattr(obj, f.name)) for f in fields(obj)]
-        digest = _digest("dc:%s.%s" % (cls.__module__, cls.__qualname__), parts)
-    elif isinstance(obj, Domain):
-        # domains are plain classes with structural equality; their
-        # content is the name plus the ordered value tuple
-        digest = _digest(
-            "domain:%s" % obj.name, [fingerprint(v) for v in obj.values]
-        )
-    elif isinstance(obj, (tuple, list)):
-        digest = _digest("seq", [fingerprint(v) for v in obj])
-    elif isinstance(obj, (frozenset, set)):
-        digest = _digest("set", sorted(fingerprint(v) for v in obj))
-    elif isinstance(obj, dict):
-        digest = _digest(
-            "map",
-            sorted(fingerprint(k) + ":" + fingerprint(v) for k, v in obj.items()),
-        )
-    else:
-        raise FingerprintError(
-            "cannot fingerprint %s objects (no stable content encoding): %r"
-            % (type(obj).__name__, obj)
-        )
-    if hashable:
+    # containers are not memoized: ``(1,)`` and ``(True,)`` are equal
+    # dict keys with different content
+    memoize = not isinstance(obj, _CONTAINERS)
+    if memoize:
+        try:
+            digest = _FP_MEMO.get(obj)
+        except TypeError:
+            memoize = False
+        if digest is not None:
+            return digest
+    tag, kind, children = _shape(obj)
+    digest = _combine_shape(tag, kind, [fingerprint(c) for c in children])
+    if memoize:
+        if len(_FP_MEMO) >= FP_MEMO_MAX:
+            _FP_MEMO.clear()
         _FP_MEMO[obj] = digest
     return digest
 
@@ -166,45 +216,71 @@ def fingerprintable(obj):
     return True
 
 
-def subtree_fingerprints(obj):
-    """Fingerprints of every *composite* node in ``obj``'s tree.
+def cone_test(changed):
+    """``in_cone(sources)``: whether any tree in ``sources`` contains a
+    composite subtree named in ``changed``.
 
-    Composite means dataclass nodes and domains — the things an edit
-    script can replace; containers and primitives are traversed but not
-    collected (they are not edit targets, and collecting every literal
-    would bloat dependency sets without sharpening invalidation).
-    Raises :class:`FingerprintError` exactly when :func:`fingerprint`
-    does.
+    ``changed`` holds edited subtrees and/or raw :class:`Fingerprint`
+    values; only composite nodes are edit targets, so primitives,
+    containers and items with no stable encoding (semantic assertions)
+    name nothing.  ``sources`` are the nodes a cache entry's key was
+    fingerprinted from, so every one has a stable encoding.  A node is
+    fingerprinted only when its class could match a changed subtree (a
+    raw fingerprint matches any class), and a source object already
+    found outside the cone is not walked again by the same predicate,
+    so caches sharing subtrees share one walk per invalidation.
     """
-    try:
-        cached = _SUBTREE_MEMO.get(obj)
-    except TypeError:
-        cached = None
-        hashable = False
-    else:
-        hashable = True
-    if cached is not None:
-        return cached
-    out = set()
-    if is_dataclass(obj) and not isinstance(obj, type):
-        out.add(fingerprint(obj))
-        for f in fields(obj):
-            out |= subtree_fingerprints(getattr(obj, f.name))
-    elif isinstance(obj, Domain):
-        out.add(fingerprint(obj))
-    elif isinstance(obj, (tuple, list, frozenset, set)):
-        for v in obj:
-            out |= subtree_fingerprints(v)
-    elif isinstance(obj, dict):
-        for k, v in obj.items():
-            out |= subtree_fingerprints(k)
-            out |= subtree_fingerprints(v)
-    else:
-        fingerprint(obj)  # raises FingerprintError on non-primitives
-    result = frozenset(out)
-    if hashable:
-        _SUBTREE_MEMO[obj] = result
-    return result
+    fps = set()
+    tags = set()
+    for item in changed:
+        if isinstance(item, str):
+            fps.add(Fingerprint(item))
+            tags = None
+            continue
+        if isinstance(item, _LEAVES):
+            continue
+        try:
+            tag, kind, _ = _shape(item)
+            if kind == "node":
+                fps.add(fingerprint(item))
+                if tags is not None:
+                    tags.add(tag)
+        except FingerprintError:
+            continue
+    clean = {}  # id(root) -> root, for roots found outside the cone
+    any_tag = tags is None
+    node_shape = _DATACLASS_SHAPES.get
+
+    def walk(root):
+        stack = [root]
+        pop, extend = stack.pop, stack.extend
+        while stack:
+            obj = pop()
+            shape = node_shape(type(obj))
+            if shape is not None:
+                if id(obj) in clean:
+                    continue
+                tag, kind, children = shape[0], "node", shape[1](obj)
+            elif isinstance(obj, _LEAVES):
+                continue
+            else:  # domains, containers, dataclasses not met before
+                tag, kind, children = _shape(obj)
+            if (
+                kind == "node"
+                and (any_tag or tag in tags)
+                and fingerprint(obj) in fps
+            ):
+                return True
+            extend(children)
+        clean[id(root)] = root
+        return False
+
+    def in_cone(sources):
+        return any(walk(source) for source in sources)
+
+    if not fps:
+        return lambda sources: False
+    return in_cone
 
 
 def combine(*parts):
@@ -234,14 +310,7 @@ def task_fingerprint(task, context=None):
     return combine(fingerprint(task), context_fingerprint(context))
 
 
-def task_dependencies(task):
-    """The dependency set of one task: every composite subtree of its
-    triple components (the task node itself included)."""
-    return subtree_fingerprints(task)
-
-
 def clear_memo():
-    """Drop the process-wide memo tables (tests; never required for
+    """Drop the process-wide memo (tests; never required for
     correctness — fingerprints are pure functions of content)."""
     _FP_MEMO.clear()
-    _SUBTREE_MEMO.clear()

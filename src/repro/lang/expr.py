@@ -38,6 +38,28 @@ def _index(a, i):
     return 0
 
 
+def _typed(value):
+    """``value`` tagged with its type, through tuples."""
+    if type(value) is tuple:
+        return tuple(map(_typed, value))
+    return (type(value), value)
+
+
+def literal_eq(self, other):
+    """Equality of literal nodes by typed value: ``1``, ``1.0`` and
+    ``True`` are distinct literals, as their fingerprints are (the
+    dataclass default compares ``1 == True``, which would let one
+    stand in for the other in every structural memo)."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _typed(self.value) == _typed(other.value)
+
+
+def literal_hash(self):
+    """The hash matching :func:`literal_eq`."""
+    return hash(_typed(self.value))
+
+
 BINOPS = {
     "+": operator.add,
     "-": operator.sub,
@@ -154,6 +176,9 @@ class Lit(Expr):
     """A literal constant (int, bool, or tuple)."""
 
     value: object
+
+    __eq__ = literal_eq
+    __hash__ = literal_hash
 
 
     def eval(self, state):
@@ -316,6 +341,9 @@ class BLit(BExpr):
     """A Boolean literal."""
 
     value: bool
+
+    __eq__ = literal_eq
+    __hash__ = literal_hash
 
 
     def eval(self, state):

@@ -15,6 +15,7 @@ import pytest
 from repro.api.session import Report, Session
 from repro.assertions.semantic import sem
 from repro.codec import from_wire, to_wire
+from repro.deps import cone_test
 
 SUITE = [
     ("forall <a>, <b>. a(l) == b(l)",
@@ -137,6 +138,23 @@ class TestLedgerKeys:
         report = session.reverify(SUITE, backends=[ExhaustiveBackend()])
         assert report.counters["fingerprint_hits"] == 0
 
+    def test_literal_types_are_never_a_false_hit(self, session):
+        from repro.assertions.syntax import HLit, forall_s, pv
+
+        def task(value):
+            post = forall_s("a", pv("a", "l").eq(HLit(value)))
+            return session.task("true", "l := 1", post)
+
+        for first, second in ((1, True), (True, 1)):
+            session.reset()
+            session.verify_many([task(first)])
+            report = session.reverify([task(second)])
+            # 1 == True in Python, but the tasks differ: the result
+            # (and its wire document) must carry the second literal
+            assert report.counters["fingerprint_hits"] == 0
+            literal = report.results[0].task.post.body.right.value
+            assert type(literal) is type(second)
+
     def test_semantic_tasks_always_rerun(self, session):
         suite = [
             (sem(lambda states: bool(states)), "l := 0", sem(lambda states: True)),
@@ -153,29 +171,80 @@ class TestReset:
         session.reset()
         report = session.reverify(SUITE)
         assert report.counters["fingerprint_hits"] == 0
-        assert len(session.deps) > 0  # re-recorded by the fresh run
+        # the fresh run refilled the caches: an edit has a cone again
+        assert session.invalidate([session.parse_program("l := h")]) > 0
         cold = cold_report(SUITE)
         assert [r.verdict for r in report] == [r.verdict for r in cold]
         assert [r.method for r in report] == [r.method for r in cold]
 
-    def test_reset_empties_every_cache_and_the_graph(self, session):
+    def test_reset_empties_every_cache(self, session):
         session.verify_many(SUITE)
-        assert len(session.deps) > 0 and len(session._ledger) > 0
+        assert len(session._ledger) > 0
         session.reset()
-        assert len(session.deps) == 0
         assert len(session._ledger) == 0
         assert session.cache_info()["entailment_size"] == 0
         assert session.cache_info()["image_size"] == 0
         assert session.cache_info()["compile_size"] == 0
+        assert session.invalidate(every_subtree(session)) == 0
 
-    def test_cache_clear_paths_drop_graph_entries(self, session):
+    def test_cleared_caches_invalidate_nothing(self, session):
         session.verify_many(SUITE)
+        every = every_subtree(session)
         session.oracle.cache_clear()
-        assert not any(a[0] == "entail" for a in session.deps._deps)
         session.images.clear()
         session.compiles.clear()
-        kinds = {a[0] for a in session.deps._deps}
-        assert kinds <= {"result"}
+        in_cone = cone_test(every)
+        assert session.oracle.invalidate(in_cone) == 0
+        assert session.images.invalidate(in_cone) == 0
+        assert session.compiles.invalidate(in_cone) == 0
+        # only the ledger still holds a cone: one result per task
+        assert session.invalidate(every) == len(SUITE)
+
+
+def every_subtree(session):
+    """The pre, command and post of every SUITE task."""
+    tasks = [session.task(t) for t in SUITE]
+    return [part for t in tasks for part in (t.pre, t.command, t.post)]
+
+
+class TestExactCone:
+    """The cone of an edit, artifact for artifact, after one warm run."""
+
+    def sizes(self, session):
+        info = session.cache_info()
+        return {
+            "results": len(session._ledger),
+            "entailments": info["entailment_size"],
+            "images": info["image_size"],
+            "compiles": info["compile_size"],
+        }
+
+    def dropped(self, session, changed):
+        session.verify_many(SUITE)
+        before = self.sizes(session)
+        count = session.invalidate(changed)
+        after = self.sizes(session)
+        return count, {k: before[k] - after[k] for k in before}
+
+    def test_command_cone(self, session):
+        # `l := h`: its 8 image rows (one per initial state), its
+        # compiled closure and the two tasks that run it
+        count, by_cache = self.dropped(session, [session.parse_program("l := h")])
+        assert count == 11
+        assert by_cache == {
+            "results": 2, "entailments": 0, "images": 8, "compiles": 1,
+        }
+
+    def test_assertion_cone(self, session):
+        # SUITE[3]'s post is also SUITE[0]'s pre: both results go, with
+        # the one verdict and the one compiled evaluator that mention it
+        count, by_cache = self.dropped(
+            session, [session.parse_condition(SUITE[3][2])]
+        )
+        assert count == 4
+        assert by_cache == {
+            "results": 2, "entailments": 1, "images": 0, "compiles": 1,
+        }
 
 
 class TestCounters:

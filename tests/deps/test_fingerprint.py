@@ -12,6 +12,7 @@ The contract under test (see :mod:`repro.deps.fingerprint`):
   :class:`FingerprintError` loudly instead of hashing unstably.
 """
 
+import importlib
 import pickle
 import subprocess
 import sys
@@ -27,15 +28,18 @@ from repro.deps.fingerprint import (
     FingerprintError,
     clear_memo,
     combine,
+    cone_test,
     context_fingerprint,
     fingerprint,
     fingerprintable,
-    subtree_fingerprints,
-    task_dependencies,
     task_fingerprint,
 )
+from repro.assertions.syntax import HLit
+from repro.lang.expr import BLit, Lit
 from repro.lang.parser import parse_command
 from repro.values import IntRange
+
+fingerprint_module = importlib.import_module("repro.deps.fingerprint")
 
 PRE = "forall <a>, <b>. a(l) == b(l)"
 CMD = "y := nonDet(); l := h xor y"
@@ -73,7 +77,7 @@ class TestStability:
         task = make_task()
         clone = pickle.loads(pickle.dumps(task))
         assert fingerprint(clone) == fingerprint(task)
-        assert task_dependencies(clone) == task_dependencies(task)
+        assert cone_test([task.command])((clone,))
         # the Fingerprint type itself survives pickling too
         fp = fingerprint(task)
         assert pickle.loads(pickle.dumps(fp)) == fp
@@ -114,6 +118,39 @@ class TestStability:
         assert fingerprint(fp) is fp
         assert isinstance(fp, Fingerprint)
         assert len(fp) == 64
+
+
+class TestMemo:
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            (HLit(1), HLit(True)),
+            (HLit(True), HLit(1)),
+            (HLit(1), HLit(1.0)),
+            (Lit(1), Lit(True)),
+            (Lit(True), Lit(1)),
+            (Lit((1, 0)), Lit((True, False))),
+            (BLit(1), BLit(True)),
+        ],
+    )
+    def test_equal_comparing_literals_never_share_an_entry(self, first, second):
+        # fingerprints are a function of content only: fingerprinting a
+        # literal of another type first must not change the answer
+        clear_memo()
+        fresh = fingerprint(second)
+        clear_memo()
+        fingerprint(first)
+        assert fingerprint(second) == fresh
+        assert fingerprint(first) != fresh
+        assert first != second
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(fingerprint_module, "FP_MEMO_MAX", 100)
+        clear_memo()
+        digests = [fingerprint(Lit(i)) for i in range(1000)]
+        assert len(fingerprint_module._FP_MEMO) <= 100
+        # a cleared memo recomputes the same digests
+        assert [fingerprint(Lit(i)) for i in range(1000)] == digests
 
 
 class TestSensitivity:
@@ -157,15 +194,28 @@ class TestSensitivity:
         # and all mutants are pairwise distinct from each other as trees
         assert len({fingerprint(m) for m in mutants}) == len(mutants)
 
-    def test_subtree_fingerprints_cover_the_cone(self):
+
+class TestConeTest:
+    def test_changed_subtree_is_found_by_content(self):
         task = make_task()
-        deps = task_dependencies(task)
-        assert fingerprint(task) in deps
-        assert fingerprint(task.command) in deps
-        assert fingerprint(task.pre) in deps
-        assert fingerprint(task.post) in deps
-        # every collected dependency is a composite node's fingerprint
-        assert all(isinstance(fp, Fingerprint) for fp in deps)
+        # a fresh parse is a different object with the same content
+        for changed in (parse_command(CMD), fingerprint(task.command),
+                        parse_assertion(PRE), parse_assertion(POST), task):
+            assert cone_test([changed])((task,))
+
+    def test_trees_without_the_subtree_are_outside(self):
+        task = make_task()
+        assert not cone_test([parse_command("l := h")])((task,))
+        # inner nodes of a source are not the source's cone: the edit
+        # names the replaced subtree, never what it contains
+        assert not cone_test([task])((task.command,))
+
+    def test_only_composite_nodes_name_a_cone(self):
+        task = make_task()
+        semantic = sem(lambda states: True)
+        in_cone = cone_test([0, True, ("l",), semantic])
+        assert not in_cone((task,))
+        assert not in_cone((task.pre, task.post))
 
 
 class TestFallback:
@@ -173,8 +223,6 @@ class TestFallback:
         semantic = sem(lambda states: True, label="always")
         with pytest.raises(FingerprintError):
             fingerprint(semantic)
-        with pytest.raises(FingerprintError):
-            subtree_fingerprints(semantic)
         assert not fingerprintable(semantic)
 
     def test_semantic_task_raises(self):

@@ -13,7 +13,8 @@ This benchmark (a plain script, so CI can smoke-run it):
 1. verifies an N-triple generated suite in a warm session,
 2. replaces one task's command with a freshly generated one,
 3. times ``reverify(edited, changed=[old command])`` against a cold
-   ``verify_many`` of the edited suite in a brand-new session,
+   ``verify_many`` of the edited suite in a brand-new session, each
+   leg the fastest of 5 runs (fresh sessions, legs taking turns),
 4. cross-validates that both runs return identical verdicts and
    methods, and that the reverify report counts N-1 fingerprint hits,
 5. asserts the incremental run is >= 5x faster (>= 3x in ``--quick``
@@ -66,16 +67,20 @@ def timed(fn):
     return time.perf_counter() - started, result
 
 
-def bench(count, min_speedup):
-    warm = Session(PVARS, lo=0, hi=1)
-    suite = build_suite(warm, count)
-    warm_t, _ = timed(lambda: warm.verify_many(suite))
+#: Each leg is timed as the fastest of this many runs, each on fresh
+#: sessions, the two legs taking turns so both sample the same stretch
+#: of a shared host: one scheduling hiccup cannot swing the ratio.
+SPEEDUP_RUNS = 5
 
-    # the edit script: one task's command is regenerated wholesale.  The
-    # victim must have a structurally *unique* command — invalidation is
-    # by content, so editing a command shared verbatim by other tasks
-    # (tiny generated programs repeat) would correctly, conservatively
-    # invalidate those tasks too and muddy the N-1 reuse measurement.
+
+def edit_script(suite):
+    """``(edited suite, old command)``: one task's command regenerated.
+
+    The victim must have a structurally *unique* command — invalidation
+    is by content, so editing a command shared verbatim by other tasks
+    (tiny generated programs repeat) would correctly, conservatively
+    invalidate those tasks too and muddy the N-1 reuse measurement.
+    """
     rng = random.Random(SEED ^ 0xED17)
     config = GenConfig(pvars=PVARS, lo=0, hi=1, max_command_depth=3)
     victim = next(
@@ -87,11 +92,10 @@ def bench(count, min_speedup):
     old = suite[victim]
     edited = list(suite)
     edited[victim] = replace(old, command=gen_command(rng, config))
+    return edited, old.command
 
-    inc_t, inc_r = timed(lambda: warm.reverify(edited, changed=[old.command]))
-    cold = Session(PVARS, lo=0, hi=1)
-    cold_t, cold_r = timed(lambda: cold.verify_many(edited))
 
+def cross_validate(inc_r, cold_r, count):
     same = [r.verdict for r in inc_r] == [r.verdict for r in cold_r] and [
         r.method for r in inc_r
     ] == [r.method for r in cold_r]
@@ -103,6 +107,24 @@ def bench(count, min_speedup):
     assert inc_r.counters["cone_invalidations"] > 0, (
         "the declared edit invalidated no artifacts"
     )
+
+
+def bench(count, min_speedup):
+    suite = build_suite(Session(PVARS, lo=0, hi=1), count)
+    edited, old_command = edit_script(suite)
+
+    warm_t = inc_t = cold_t = float("inf")
+    for _ in range(SPEEDUP_RUNS):
+        # the reverify leg edits its session, so every run warms a new one
+        warm = Session(PVARS, lo=0, hi=1)
+        elapsed, _ = timed(lambda: warm.verify_many(suite))
+        warm_t = min(warm_t, elapsed)
+        elapsed, inc_r = timed(lambda: warm.reverify(edited, changed=[old_command]))
+        inc_t = min(inc_t, elapsed)
+        cold = Session(PVARS, lo=0, hi=1)
+        elapsed, cold_r = timed(lambda: cold.verify_many(edited))
+        cold_t = min(cold_t, elapsed)
+        cross_validate(inc_r, cold_r, count)
     print("cross-validation: verdicts+methods identical, %d/%d outcomes "
           "reused, %d artifacts invalidated: OK"
           % (inc_r.counters["fingerprint_hits"], count,
@@ -110,7 +132,8 @@ def bench(count, min_speedup):
 
     speedup = cold_t / inc_t if inc_t else float("inf")
     print()
-    print("suite: %d tasks, 1 command edited" % count)
+    print("suite: %d tasks, 1 command edited, fastest of %d runs per leg"
+          % (count, SPEEDUP_RUNS))
     print("  initial warm verify_many:        %8.3fs  %6.1f tasks/s" % (warm_t, count / warm_t))
     print("  cold verify_many (edited suite): %8.3fs  %6.1f tasks/s" % (cold_t, count / cold_t))
     print("  reverify(changed=[old command]): %8.3fs  %6.1f tasks/s" % (inc_t, count / inc_t))

@@ -108,10 +108,16 @@ class SyntacticWPBackend:
     """Fig. 3 backward rules: syntactic wp + one closing entailment.
 
     Applies to loop-free straight-line commands with a syntactic
-    postcondition.  A failed closing entailment is a genuine refutation
-    (the wp is exact for straight-line code), so this backend then hunts
-    for a semantic counterexample to report; ``max_cex_size`` caps that
-    search.
+    postcondition.  A failed closing entailment ``P |= wp(C, Q)`` is a
+    genuine refutation (the wp is exact for straight-line code), and a
+    set ``S`` with ``P(S)`` and ``¬wp(C, Q)(S)`` is a Def. 5 witness:
+    ``sem(C, S)`` violates ``Q``.  When the SAT oracle decided that
+    entailment, the witness is the oracle's least refuting set
+    (:meth:`~repro.assertions.entail.EntailmentOracle.find_counterexample`)
+    with its image from the session's cached rows, re-checked against
+    the task.  Otherwise (a ``brute`` oracle, operands the encoding
+    cannot ground, or a ``max_cex_size`` cap on the witness) the Def. 5
+    scan finds the smallest refuting initial set.
     """
 
     name = "syntactic-wp"
@@ -127,8 +133,8 @@ class SyntacticWPBackend:
         mark = oracle.used_mark()
         try:
             proof = verify_straightline(task.pre, task.command, task.post, oracle)
-        except EntailmentError:
-            return self._refute(task, session, budget, oracle, mark)
+        except EntailmentError as err:
+            return self._refute(task, session, budget, oracle, mark, err)
         except ProofError as err:
             return Undecided(self.name, self.name, reason=str(err))
         method = "%s+%s" % (self.name, _oracle_suffix(oracle, mark))
@@ -136,8 +142,11 @@ class SyntacticWPBackend:
             self.name, method, proof=proof, assumptions=proof.all_assumptions()
         )
 
-    def _refute(self, task, session, budget, oracle, mark):
+    def _refute(self, task, session, budget, oracle, mark, err):
         method = "%s+%s" % (self.name, _oracle_suffix(oracle, mark))
+        witness = self._model_witness(task, session, oracle, err)
+        if witness is not None:
+            return Refuted(self.name, method, witness=witness)
         status, witness, checked = _scan_initial_sets(
             task, session, budget, self.max_cex_size
         )
@@ -158,6 +167,25 @@ class SyntacticWPBackend:
             method,
             note="wp entailment failed; no counterexample within the size cap",
         )
+
+    def _model_witness(self, task, session, oracle, err):
+        """The witness from the SAT oracle's least refuting set of the
+        failing entailment, or ``None`` when that route does not apply
+        or its set does not refute the task."""
+        if (
+            self.max_cex_size is not None
+            or err.pre is None
+            or oracle.last_method != "sat"
+        ):
+            return None
+        pre_set = oracle.find_counterexample(err.pre, err.post)
+        if pre_set is None:
+            return None
+        post_set = session.engine.sem(task.command, pre_set)
+        domain = session.universe.domain
+        if not task.pre.holds(pre_set, domain) or task.post.holds(post_set, domain):
+            return None
+        return Witness(pre_set, post_set)
 
 
 class LoopBackend:

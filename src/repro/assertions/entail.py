@@ -228,16 +228,22 @@ class EntailmentOracle:
     def find_counterexample(self, pre, post):
         """A witness set refuting ``pre |= post`` (or ``None``).
 
-        A ``sat`` oracle decodes it from one SAT model
-        (:func:`~repro.solver.encode.entailment_model`); brute-force
-        enumeration is left to ``brute`` oracles and to operands the
-        SAT encoding cannot ground.
+        A ``sat`` oracle returns the *least* refuting set, read off its
+        persistent solver
+        (:meth:`~repro.solver.encode.IncrementalEntailment.least_model`):
+        the set whose membership vector in :attr:`universe` order, "out"
+        before "in", is lexicographically least.  It depends only on the
+        query, so every execution route reports the same set, and the
+        walk starts from the model the failing :meth:`entails` query
+        just found.  Brute-force enumeration (the smallest set first) is
+        left to ``brute`` oracles and to operands the SAT encoding
+        cannot ground.
         """
         if self.method == "sat":
-            from ..solver.encode import Unsupported, entailment_model
+            from ..solver.encode import Unsupported
 
             try:
-                return entailment_model(pre, post, self.universe, self.domain)
+                return self._sat_incremental().least_model(pre, post)
             except Unsupported:
                 pass
         return find_entailment_counterexample(
@@ -255,8 +261,9 @@ class EntailmentOracle:
     def require(self, pre, post, context=""):
         """Raise :class:`EntailmentError` unless ``pre |= post``.
 
-        The error's text names a counterexample's size; the search for
-        it runs only when the text is read.
+        The error carries the failing ``pre`` and ``post``.  Its text
+        names the size of :meth:`find_counterexample`'s set; the search
+        for it runs only when the text is read.
         """
         if not self.entails(pre, post):
 
@@ -273,7 +280,7 @@ class EntailmentOracle:
                     )
                 )
 
-            raise EntailmentError(message)
+            raise EntailmentError(message, pre, post)
         return True
 
     def assume(self, pre, post, context=""):

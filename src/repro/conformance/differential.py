@@ -19,7 +19,10 @@ on one generated trial at a time:
     identically-seeded rng, so they must draw the same subsets).
 ``syntactic-vs-oracle``
     On the straight-line fragment the Fig. 3 wp backend is exact: a
-    decided verdict (proved *or* refuted) must match the oracle.
+    decided verdict (proved *or* refuted) must match the oracle, and a
+    refutation's witness (the least set refuting the failed entailment,
+    not the engine's size-ordered first one) is re-validated
+    semantically like a symbolic one (below).
 ``chain-vs-oracle``
     The session's full default backend chain — including the Fig. 5
     loop backend when the trial carries an invariant annotation — must
@@ -35,10 +38,10 @@ on one generated trial at a time:
     oracle's, a symbolic refutation must carry an *independently valid*
     witness (the SAT model's set need not be the engine's size-ordered
     first one, so the witness is re-validated semantically: the pre-set
-    satisfies the precondition, its concrete ``sem`` equals the carried
-    post-set, and the post-set violates the postcondition), and an
-    undecided outcome must record a fragment reason — silent
-    fallthrough is itself a disagreement.
+    lies in the universe and satisfies the precondition, its concrete
+    ``sem`` equals the carried post-set, and the post-set violates the
+    postcondition), and an undecided outcome must record a fragment
+    reason — silent fallthrough is itself a disagreement.
 ``hl-embedding`` / ``il-embedding``
     Props. 2 and 6: classical Hoare Logic validity (and Incorrectness
     Logic validity) of derived judgments over the trial's *command* must
@@ -338,6 +341,8 @@ class DifferentialChecker:
                 "proved the triple" if outcome.verdict else "refuted the triple",
                 _verdict(oracle.valid),
             )
+        if not outcome.verdict and outcome.witness is not None:
+            return self._witness_defect("syntactic wp", triple, outcome.witness)
         return None
 
     def chain_disagreement(self, triple, oracle=None):
@@ -380,26 +385,35 @@ class DifferentialChecker:
                 _verdict(oracle.valid),
             )
         if not outcome.verdict:
-            witness = outcome.witness
-            domain = self.universe.domain
-            if witness is None:
+            if outcome.witness is None:
                 return "symbolic refutation carried no witness"
-            if not triple.pre.holds(witness.pre_set, domain):
-                return (
-                    "symbolic witness pre-set does not satisfy the "
-                    "precondition: %r" % (witness.pre_set,)
-                )
-            concrete = self.session.engine.sem(triple.command, witness.pre_set)
-            if concrete != witness.post_set:
-                return (
-                    "symbolic witness post-set is not sem(C, S): carried %r, "
-                    "concrete %r" % (witness.post_set, concrete)
-                )
-            if triple.post.holds(witness.post_set, domain):
-                return (
-                    "symbolic witness post-set satisfies the postcondition "
-                    "(not a refutation): %r" % (witness.post_set,)
-                )
+            return self._witness_defect("symbolic", triple, outcome.witness)
+        return None
+
+    def _witness_defect(self, who, triple, witness):
+        """What makes ``witness`` no refutation of ``triple``, or
+        ``None``: its pre-set must lie in the universe and satisfy the
+        precondition, its post-set must be the concrete ``sem(C, S)``,
+        and the post-set must violate the postcondition."""
+        domain = self.universe.domain
+        outside = witness.pre_set.difference(self.universe.ext_states())
+        if outside:
+            return "%s witness pre-set leaves the universe: %r" % (who, outside)
+        if not triple.pre.holds(witness.pre_set, domain):
+            return (
+                "%s witness pre-set does not satisfy the precondition: %r"
+                % (who, witness.pre_set)
+            )
+        concrete = self.session.engine.sem(triple.command, witness.pre_set)
+        if concrete != witness.post_set:
+            return "%s witness post-set is not sem(C, S): carried %r, concrete %r" % (
+                who, witness.post_set, concrete,
+            )
+        if triple.post.holds(witness.post_set, domain):
+            return (
+                "%s witness post-set satisfies the postcondition (not a "
+                "refutation): %r" % (who, witness.post_set)
+            )
         return None
 
     def hl_disagreement(self, triple, aux_seed):

@@ -147,9 +147,10 @@ def _shape(obj):
     if shape is not None:
         return shape[0], "node", shape[1](obj)
     if isinstance(obj, Domain):
-        # domains are plain classes with structural equality; their
-        # content is the name plus the ordered value tuple
-        return "domain:%s" % obj.name, "node", obj.values
+        # domains are plain classes compared by their type-tagged
+        # values; the value digests are type-tagged too, and the name
+        # (display only) takes no part, so equal domains share a digest
+        return "domain", "node", obj.values
     if isinstance(obj, (tuple, list)):
         return "seq", "seq", obj
     if isinstance(obj, (frozenset, set)):

@@ -50,7 +50,14 @@ class EntailmentError(ProofError):
     ``str()``: a caller that only catches the error then skips the work
     its text reports (the counterexample search of
     :meth:`~repro.assertions.entail.EntailmentOracle.require`).
+    ``pre`` and ``post`` are the operands of the failing entailment
+    ``pre |= post`` when the raiser knows them, else ``None``.
     """
+
+    def __init__(self, message, pre=None, post=None):
+        super().__init__(message)
+        self.pre = pre
+        self.post = post
 
     def __str__(self):
         if self.args and callable(self.args[0]):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from ..errors import EvaluationError
+from ..values import typed_value
 
 
 def _safe_div(a, b):
@@ -38,13 +39,6 @@ def _index(a, i):
     return 0
 
 
-def _typed(value):
-    """``value`` tagged with its type, through tuples."""
-    if type(value) is tuple:
-        return tuple(map(_typed, value))
-    return (type(value), value)
-
-
 def literal_eq(self, other):
     """Equality of literal nodes by typed value: ``1``, ``1.0`` and
     ``True`` are distinct literals, as their fingerprints are (the
@@ -52,12 +46,12 @@ def literal_eq(self, other):
     stand in for the other in every structural memo)."""
     if other.__class__ is not self.__class__:
         return NotImplemented
-    return _typed(self.value) == _typed(other.value)
+    return typed_value(self.value) == typed_value(other.value)
 
 
 def literal_hash(self):
     """The hash matching :func:`literal_eq`."""
-    return hash(_typed(self.value))
+    return hash(typed_value(self.value))
 
 
 BINOPS = {

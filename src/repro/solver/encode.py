@@ -374,6 +374,7 @@ class IncrementalEntailment:
         self._cnf = CNF()  # atom map + subformula memo; clauses drained per query
         self._grounder = _Grounder(self.universe, domain, self._atom)
         self._grounded = {}  # id(assertion) -> (assertion ref, formula)
+        self._last = (None, None)  # (root literal, model) of the last SAT solve
         self._lock = threading.Lock()
         self.queries = 0
 
@@ -388,6 +389,27 @@ class IncrementalEntailment:
         self._grounded[id(assertion)] = (assertion, formula)
         return formula
 
+    def _root(self, pre, post):
+        """The root literal of ``⟦pre⟧ ∧ ¬⟦post⟧``, its clauses loaded
+        into the solver (call under the lock)."""
+        if not isinstance(pre, Assertion) or not isinstance(post, Assertion):
+            raise Unsupported("operands must be assertions")
+        cnf = self._cnf
+        root = _encode(fand(self._ground(pre), fnot(self._ground(post))), cnf)
+        solver = self._solver
+        solver.ensure_vars(cnf.num_vars)
+        for clause in cnf.clauses:
+            solver.add_clause(clause)
+        cnf.clauses.clear()
+        return root
+
+    def _solve(self, root, assumptions):
+        """One solve; a model of the query ``root`` is kept as the last."""
+        model = self._solver.solve(assumptions=assumptions)
+        if model is not None:
+            self._last = (root, model)
+        return model
+
     def entails(self, pre, post):
         """``pre |= post`` over subsets of the universe.
 
@@ -395,16 +417,45 @@ class IncrementalEntailment:
         grounded (callers fall back to brute force, exactly as with
         :func:`entails_sat`).
         """
-        if not isinstance(pre, Assertion) or not isinstance(post, Assertion):
-            raise Unsupported("operands must be assertions")
         with self._lock:
-            query = fand(self._ground(pre), fnot(self._ground(post)))
-            cnf = self._cnf
-            root = _encode(query, cnf)
-            solver = self._solver
-            solver.ensure_vars(cnf.num_vars)
-            for clause in cnf.clauses:
-                solver.add_clause(clause)
-            cnf.clauses.clear()
+            root = self._root(pre, post)
             self.queries += 1
-            return solver.solve(assumptions=(root,)) is None
+            return self._solve(root, (root,)) is None
+
+    def least_model(self, pre, post):
+        """The least set ``S`` with ``pre(S) ∧ ¬post(S)``, or ``None``.
+
+        Least means: its membership vector, read in universe order with
+        "out" before "in", is lexicographically least among all such
+        sets.  That set depends only on what the query means, never on
+        the solver's history, so it is the same on every execution
+        route.  The walk starts from the last model of this query (that
+        :meth:`entails` just found, when it returned ``False``) and
+        fixes the states in order: one the current model leaves out is
+        out at no cost; one it includes costs a solve that tries to
+        leave it out, adopting the new model when that is satisfiable
+        and fixing the state in otherwise.  A state without a variable
+        is constrained by no clause, so it is out.
+        """
+        with self._lock:
+            root = self._root(pre, post)
+            last_root, model = self._last
+            if last_root != root:
+                model = self._solve(root, (root,))
+                if model is None:
+                    return None
+            atom_to_var = self._cnf.atom_to_var
+            fixed, chosen = [root], []
+            for i, state in enumerate(self.universe):
+                var = atom_to_var.get(("m", i))
+                if var is None:
+                    continue
+                if model.get(var, True):  # in, or younger than the model
+                    trial = self._solve(root, fixed + [-var])
+                    if trial is None:
+                        fixed.append(var)
+                        chosen.append(state)
+                        continue
+                    model = trial
+                fixed.append(-var)
+            return frozenset(chosen)

@@ -14,6 +14,14 @@ values.  ``x := nonDet()`` ranges over the whole domain.
 from .errors import DomainError
 
 
+def typed_value(value):
+    """``value`` tagged with its type, through tuples: ``1``, ``1.0`` and
+    ``True`` are equal in Python but distinct as typed values."""
+    if type(value) is tuple:
+        return tuple(map(typed_value, value))
+    return (type(value), value)
+
+
 class Domain:
     """A finite, ordered set of values.
 
@@ -24,9 +32,13 @@ class Domain:
         rejected so that enumeration counts are meaningful.
     name:
         Optional human-readable name used by ``repr``.
+
+    Equality, hashing and :func:`~repro.deps.fingerprint.fingerprint`
+    all read one content, the type-tagged values: ``BOOLS`` and
+    ``IntRange(0, 1)`` differ, and the name takes no part.
     """
 
-    __slots__ = ("_values", "_index", "name")
+    __slots__ = ("_values", "_index", "_key", "_hash", "name")
 
     def __init__(self, values, name=None):
         vals = tuple(values)
@@ -37,6 +49,9 @@ class Domain:
             index[v] = i
         self._values = vals
         self._index = index
+        # computed once: image caches hash the domain on every lookup
+        self._key = typed_value(vals)
+        self._hash = hash(self._key)
         self.name = name or "Domain"
 
     @property
@@ -54,10 +69,15 @@ class Domain:
         return value in self._index
 
     def __eq__(self, other):
-        return isinstance(other, Domain) and self._values == other._values
+        return isinstance(other, Domain) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._values)
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild from the values: ``_hash`` is only valid in the process
+        # that computed it (type and ``str`` hashes vary per interpreter)
+        return (Domain, (self._values, self.name))
 
     def __repr__(self):
         if len(self._values) <= 8:
@@ -87,6 +107,9 @@ class IntRange(Domain):
         super().__init__(range(lo, hi + 1), name="IntRange")
         self.lo = lo
         self.hi = hi
+
+    def __reduce__(self):
+        return (IntRange, (self.lo, self.hi))
 
     def __repr__(self):
         return "IntRange(%d, %d)" % (self.lo, self.hi)

@@ -20,6 +20,7 @@ from repro.lang.ast import Assign, Choice, Havoc, Iter, Seq, Skip
 from repro.lang.parser import parse_command
 from repro.assertions.parser import parse_assertion
 from repro.assertions.syntax import SBool
+from repro.semantics.state import ExtState, State
 
 #: One checker for the whole module: the shared image cache is the point.
 CHECKER = DifferentialChecker(FUZZ_CONFIG)
@@ -121,6 +122,35 @@ class TestEngineVsNaive:
         monkeypatch.setattr(engine, "check", drifted_check)
         detail = checker.oracle_disagreement(triple)
         assert detail is not None and "checked" in detail
+
+
+class TestSyntacticWitness:
+    TRIPLE = Triple(
+        parse_assertion("exists <p>. true"),
+        parse_command("x := y"),
+        parse_assertion("forall <p>, <q>. p(x) == q(x)"),
+    )
+
+    def test_wp_witness_is_revalidated(self, monkeypatch):
+        checker = DifferentialChecker(FUZZ_CONFIG, embeddings=False)
+        assert checker.syntactic_disagreement(self.TRIPLE) is None
+        backend = checker.session.backends[0]
+        real_attempt = backend.attempt
+
+        def corrupt(field, value):
+            def attempt(task, session, budget=None):
+                outcome = real_attempt(task, session, budget)
+                witness = dataclasses.replace(outcome.witness, **{field: value})
+                return dataclasses.replace(outcome, witness=witness)
+
+            monkeypatch.setattr(backend, "attempt", attempt)
+            return checker.syntactic_disagreement(self.TRIPLE)
+
+        # the verdict stays right; only the witness is no refutation
+        assert "not sem(C, S)" in corrupt("post_set", frozenset())
+        stranger = ExtState(State({}), State({"x": 7, "y": 7}))
+        assert "leaves the universe" in corrupt("pre_set", frozenset([stranger]))
+        assert "precondition" in corrupt("pre_set", frozenset())
 
 
 class TestShrinker:

@@ -37,7 +37,7 @@ from repro.deps.fingerprint import (
 from repro.assertions.syntax import HLit
 from repro.lang.expr import BLit, Lit
 from repro.lang.parser import parse_command
-from repro.values import IntRange
+from repro.values import BOOLS, Domain, IntRange
 
 fingerprint_module = importlib.import_module("repro.deps.fingerprint")
 
@@ -175,6 +175,31 @@ class TestSensitivity:
     def test_domain_fingerprints_by_content(self):
         assert fingerprint(IntRange(0, 1)) == fingerprint(IntRange(0, 1))
         assert fingerprint(IntRange(0, 1)) != fingerprint(IntRange(0, 2))
+
+    @pytest.mark.parametrize(
+        "first, second, equal",
+        [
+            (IntRange(0, 1), BOOLS, False),
+            (BOOLS, IntRange(0, 1), False),
+            (Domain((0, 1), name="A"), Domain((0, 1), name="B"), True),
+            (Domain((0, 1), name="B"), Domain((0, 1), name="A"), True),
+            (Domain((1, 2)), Domain((1.0, 2.0)), False),
+            (IntRange(0, 1), Domain((0, 1)), True),
+        ],
+    )
+    def test_domain_equality_hash_and_fingerprint_agree(self, first, second, equal):
+        # one content for all three: the type-tagged values, in order,
+        # whichever domain the memo saw first
+        expected = []
+        for domain in (first, second):
+            clear_memo()
+            expected.append(fingerprint(domain))
+        clear_memo()
+        got = [fingerprint(first), fingerprint(second)]
+        assert got == expected
+        assert (first == second) == equal == (got[0] == got[1])
+        if equal:
+            assert hash(first) == hash(second)
 
     def test_every_single_node_edit_changes_the_root_hash(self):
         # the mutation battery: walk the task tree, mutate exactly one

@@ -1,6 +1,7 @@
 """The hyper-assertion grounding: SAT verdicts must equal brute force."""
 
 import gc
+import itertools
 import os
 import random
 import subprocess
@@ -644,6 +645,37 @@ class TestOneEncoder:
         del received[:]
         oracle.entails(pre, second)
         assert received == []  # an exact repeat encodes nothing
+
+
+class TestLeastModel:
+    """``least_model`` is the least refuting set whatever the solver's
+    history: pinned against brute enumeration in universe order."""
+
+    @staticmethod
+    def brute_least(pre, post, states, domain):
+        for bits in itertools.product((False, True), repeat=len(states)):
+            chosen = frozenset(u for u, b in zip(states, bits) if b)
+            if pre.holds(chosen, domain) and not post.holds(chosen, domain):
+                return chosen
+        return None
+
+    def test_equals_brute_least_after_any_history(self):
+        uni = Universe(["x", "y"], IntRange(0, 1))
+        states = tuple(sorted(uni.ext_states(), key=repr))
+        pool = [parse_assertion(text) for text in TestOneEncoder.POOL]
+        rng = random.Random(11)
+        queries = [(rng.choice(pool), rng.choice(pool)) for _ in range(60)]
+        warm = encode.IncrementalEntailment(states, uni.domain)
+        refuted = 0
+        for pre, post in queries:
+            expected = self.brute_least(pre, post, states, uni.domain)
+            # right after the query's own failing solve, and cold
+            assert warm.entails(pre, post) == (expected is None)
+            assert warm.least_model(pre, post) == expected
+            cold = encode.IncrementalEntailment(states, uni.domain)
+            assert cold.least_model(pre, post) == expected
+            refuted += expected is not None
+        assert refuted >= 15
 
 
 def _subformulas(formula):

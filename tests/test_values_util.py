@@ -35,6 +35,16 @@ class TestDomain:
         assert Domain([1, 2]) == Domain([1, 2])
         assert Domain([1, 2]) != Domain([2, 1])
         assert hash(Domain([1, 2])) == hash(Domain([1, 2]))
+        assert BOOLS != IntRange(0, 1)
+        assert Domain([0, 1], name="A") == IntRange(0, 1)
+
+    def test_pickle_rebuilds(self):
+        import pickle
+
+        for d in (IntRange(-1, 2), BOOLS, tuple_domain([0, 1], 2, name="T")):
+            loaded = pickle.loads(pickle.dumps(d))
+            assert type(loaded) is type(d) and loaded == d
+            assert hash(loaded) == hash(d) and repr(loaded) == repr(d)
 
     def test_int_range(self):
         d = IntRange(-1, 2)

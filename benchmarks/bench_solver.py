@@ -117,6 +117,11 @@ def test_solver_on_validity_encodings(benchmark):
 #: at least this factor on the recorded corpus (ISSUE 10 acceptance).
 MIN_INCREMENTAL_SPEEDUP = 1.2
 
+#: Each leg of the incremental-vs-fresh ratio is timed as the fastest of
+#: this many runs, the two legs taking turns so both sample the same
+#: stretch of a shared host: one scheduling hiccup cannot swing the ratio.
+SPEEDUP_RUNS = 5
+
 
 def test_incremental_vs_fresh_entailment(benchmark):
     """One persistent assumption-based solver vs a fresh solve per query.
@@ -160,17 +165,18 @@ def test_incremental_vs_fresh_entailment(benchmark):
         return [oracle.entails(p, q) for p, q in queries]
 
     expected = benchmark.pedantic(incremental_all, rounds=2, iterations=1)
-    t = time.perf_counter()
-    assert fresh_all() == expected
-    fresh_elapsed = time.perf_counter() - t
-    t = time.perf_counter()
-    assert incremental_all() == expected
-    incremental_elapsed = time.perf_counter() - t
+    best = {fresh_all: float("inf"), incremental_all: float("inf")}
+    for _ in range(SPEEDUP_RUNS):
+        for leg in best:
+            t = time.perf_counter()
+            assert leg() == expected
+            best[leg] = min(best[leg], time.perf_counter() - t)
 
-    speedup = fresh_elapsed / incremental_elapsed
+    speedup = best[fresh_all] / best[incremental_all]
     print(
-        "\nincremental vs fresh entailment (%d queries over %d states): %.2fx"
-        % (len(queries), len(states), speedup)
+        "\nincremental vs fresh entailment (%d queries over %d states, "
+        "fastest of %d): %.2fx"
+        % (len(queries), len(states), SPEEDUP_RUNS, speedup)
     )
     assert speedup >= MIN_INCREMENTAL_SPEEDUP, (
         "incremental entailment measured %.2fx vs fresh solves "

@@ -6,10 +6,10 @@ build the analogous pipeline from scratch:
 
 1. :mod:`repro.solver.formula` — propositional formula AST;
 2. :mod:`repro.solver.cnf`     — the one Tseitin encoder;
-3. :mod:`repro.solver.sat`     — the one CDCL search over two-watched-
-   literal unit propagation (:class:`IncrementalSolver`, with
-   :class:`SATSolver` as its one-shot subclass), with no settable
-   options;
+3. :mod:`repro.solver.sat`     — the one CDCL search over literal
+   codes, binary implication lists and two-watched long clauses
+   (:class:`IncrementalSolver`, with :class:`SATSolver` as its
+   one-shot subclass), with no settable options;
 4. :mod:`repro.solver.encode`  — grounding of syntactic hyper-assertions
    over a finite universe into propositional formulas over set-membership
    atoms, reducing ``P |= Q`` to UNSAT of ``P ∧ ¬Q``, one query at a
